@@ -61,11 +61,9 @@ Addr ClusterSimulation::rankBuffer(int rank) const {
 }
 
 Addr ClusterSimulation::shmBuffer(int src, int dst) const {
-  const unsigned slots = config_.ranks_per_node * config_.ranks_per_node;
-  const unsigned slot = (static_cast<unsigned>(src) +
-                         static_cast<unsigned>(dst) *
-                             config_.ranks_per_node) %
-                        slots;
+  // MpiSimulation's slot map over node-local cores.
+  const unsigned slot = ranks_[src].local_core * config_.ranks_per_node +
+                        ranks_[dst].local_core;
   return kShmBase + static_cast<Addr>(slot) * kShmStride;
 }
 
