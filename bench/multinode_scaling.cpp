@@ -4,7 +4,7 @@
 // study the paper proposes running on the BxE cluster / AWS FPGAs.
 #include <cstdio>
 
-#include "cluster/cluster.h"
+#include "mpi/mpi.h"
 #include "platforms/platforms.h"
 #include "workloads/npb.h"
 
@@ -27,7 +27,7 @@ int main() {
       NpbConfig cfg;
       cfg.scale = 0.5;
       const SocConfig node = makePlatform(PlatformId::kBananaPiSim, 4);
-      const ClusterRunResult r = runClusterProgram(
+      const MpiRunResult r = runClusterProgram(
           node, cc, [&](int rank, int nranks) {
             return makeNpbRank(b, rank, nranks, cfg);
           });

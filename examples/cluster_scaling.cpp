@@ -4,7 +4,7 @@
 //   $ ./cluster_scaling
 #include <cstdio>
 
-#include "cluster/cluster.h"
+#include "mpi/mpi.h"
 #include "platforms/platforms.h"
 #include "workloads/lammps.h"
 
@@ -28,7 +28,7 @@ int main() {
       cc.ranks_per_node = 4;
       cc.network.bandwidth_gbps = gbps;
       cc.network.latency_us = us;
-      const ClusterRunResult r = runClusterProgram(
+      const MpiRunResult r = runClusterProgram(
           node, cc, [&](int rank, int nranks) {
             return makeLammpsRank(LammpsBenchmark::kLennardJones, rank,
                                   nranks, lmp);

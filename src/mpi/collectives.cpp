@@ -21,15 +21,14 @@ constexpr Cycle kCombineCyclesPerElement = 2;
 constexpr std::uint64_t kElementBytes = 8;
 }  // namespace
 
-void MpiSimulation::resolveCollective(MpiKind kind,
-                                      const std::vector<int>& ranks) {
-  const int n = static_cast<int>(ranks.size());
+void MpiSimulation::resolveCollective(MpiKind kind) {
+  const int n = numRanks();
   std::vector<Cycle> t(n);
-  // Every participant pays the runtime's software entry cost once, even in
-  // the degenerate single-rank case.
-  for (int i = 0; i < n; ++i) t[i] = ranks_[ranks[i]].arrive + alpha_;
-  const std::uint64_t bytes = ranks_[ranks[0]].pending.mpi.bytes;
-  const int root = std::max(0, ranks_[ranks[0]].pending.mpi.peer);
+  // Every rank pays the runtime's software entry cost once, even in the
+  // degenerate single-rank case.
+  for (int i = 0; i < n; ++i) t[i] = ranks_[i].arrive + alpha_;
+  const std::uint64_t bytes = ranks_[0].pending.mpi.bytes;
+  const int root = std::max(0, ranks_[0].pending.mpi.peer);
 
   auto combineCost = [&](std::uint64_t b) {
     return kCombineCyclesPerElement * (b / kElementBytes + 1);
@@ -41,8 +40,7 @@ void MpiSimulation::resolveCollective(MpiKind kind,
         std::vector<Cycle> send_done(n), recv_done(n);
         for (int i = 0; i < n; ++i) {
           const int dst = (i + k) % n;
-          const auto [s, r] =
-              transferCost(ranks[i], ranks[dst], 8, t[i], t[dst]);
+          const auto [s, r] = transferCost(i, dst, 8, t[i], t[dst]);
           send_done[i] = s;
           recv_done[dst] = r;
         }
@@ -58,8 +56,7 @@ void MpiSimulation::resolveCollective(MpiKind kind,
         for (int rel = 0; rel < k && rel + k < n; ++rel) {
           const int src = (root + rel) % n;
           const int dst = (root + rel + k) % n;
-          const auto [s, r] =
-              transferCost(ranks[src], ranks[dst], bytes, t[src], t[dst]);
+          const auto [s, r] = transferCost(src, dst, bytes, t[src], t[dst]);
           t[src] = s;
           t[dst] = std::max(t[dst], r);
         }
@@ -73,8 +70,7 @@ void MpiSimulation::resolveCollective(MpiKind kind,
         for (int rel = 0; rel + k < n; rel += 2 * k) {
           const int dst = (root + rel) % n;       // receives and combines
           const int src = (root + rel + k) % n;   // sends its partial
-          const auto [s, r] =
-              transferCost(ranks[src], ranks[dst], bytes, t[src], t[dst]);
+          const auto [s, r] = transferCost(src, dst, bytes, t[src], t[dst]);
           t[src] = s;
           t[dst] = std::max(t[dst], r) + combineCost(bytes);
         }
@@ -85,8 +81,7 @@ void MpiSimulation::resolveCollective(MpiKind kind,
           for (int rel = 0; rel < k && rel + k < n; ++rel) {
             const int src = (root + rel) % n;
             const int dst = (root + rel + k) % n;
-            const auto [s, r] =
-                transferCost(ranks[src], ranks[dst], bytes, t[src], t[dst]);
+            const auto [s, r] = transferCost(src, dst, bytes, t[src], t[dst]);
             t[src] = s;
             t[dst] = std::max(t[dst], r);
           }
@@ -101,8 +96,7 @@ void MpiSimulation::resolveCollective(MpiKind kind,
         std::vector<Cycle> next = t;
         for (int i = 0; i < n; ++i) {
           const int dst = (i + s) % n;
-          const auto [sd, rd] =
-              transferCost(ranks[i], ranks[dst], bytes, t[i], t[dst]);
+          const auto [sd, rd] = transferCost(i, dst, bytes, t[i], t[dst]);
           next[i] = std::max(next[i], sd);
           next[dst] = std::max(next[dst], rd);
         }
@@ -114,9 +108,7 @@ void MpiSimulation::resolveCollective(MpiKind kind,
       throw std::logic_error("resolveCollective: not a collective");
   }
 
-  for (int i = 0; i < n; ++i) {
-    unblock(ranks[i], t[i]);
-  }
+  for (int i = 0; i < n; ++i) unblock(i, t[i]);
 }
 
 }  // namespace bridge

@@ -7,10 +7,10 @@
 namespace bridge {
 
 namespace {
-// Synthetic address map: per-rank application buffers and per-pair shared
-// message buffers. Reusing the same shm region per pair means small
-// messages become cache-resident after warmup, as on real shared-memory
-// MPI.
+// Synthetic address map, per node: per-core application buffers and
+// per-pair shared message buffers. Reusing the same shm region per pair
+// means small messages become cache-resident after warmup, as on real
+// shared-memory MPI.
 constexpr Addr kRankBufBase = 0x9000'0000;
 constexpr Addr kRankBufStride = 0x0200'0000;
 constexpr Addr kShmBase = 0xE000'0000;
@@ -18,34 +18,66 @@ constexpr Addr kShmStride = 0x0040'0000;
 constexpr unsigned kStepQuantum = 4096;  // max uops per scheduling slice
 }  // namespace
 
-MpiSimulation::MpiSimulation(Soc* soc,
+MpiSimulation::MpiSimulation(std::vector<Soc*> nodes,
                              std::vector<TraceSourcePtr> rank_traces,
-                             const MpiParams& params)
-    : soc_(soc), params_(params) {
-  assert(soc != nullptr);
-  if (rank_traces.empty() ||
-      rank_traces.size() > soc->numCores()) {
-    throw std::invalid_argument("rank count must be in [1, numCores]");
+                             const MpiParams& params,
+                             const NetworkParams& network)
+    : nodes_(std::move(nodes)), params_(params) {
+  const std::size_t n = rank_traces.size();
+  if (nodes_.empty() || n == 0 || n % nodes_.size() != 0) {
+    throw std::invalid_argument(
+        "rank count must be a positive multiple of the node count");
   }
-  alpha_ = nsToCycles(params.alpha_ns, soc->config().freq_ghz);
-  const int n = static_cast<int>(rank_traces.size());
+  ranks_per_node_ = static_cast<unsigned>(n / nodes_.size());
+  for (const Soc* soc : nodes_) {
+    assert(soc != nullptr);
+    if (soc->numCores() < ranks_per_node_) {
+      throw std::invalid_argument("a node has fewer cores than ranks/node");
+    }
+  }
+
+  const double freq = nodes_[0]->config().freq_ghz;
+  alpha_ = nsToCycles(params.alpha_ns, freq);
+  net_latency_ = nsToCycles(network.latency_us * 1000.0, freq);
+  // bytes per cycle = (gbps / 8) bytes-per-ns / freq cycles-per-ns.
+  const double bytes_per_cycle = (network.bandwidth_gbps / 8.0) / freq;
+  cycles_per_byte_ = bytes_per_cycle > 0 ? 1.0 / bytes_per_cycle : 0.0;
+  nic_tx_.resize(nodes_.size());
+  nic_rx_.resize(nodes_.size());
+
   ranks_.resize(n);
   sends_.resize(n);
   recvs_.resize(n);
-  for (int r = 0; r < n; ++r) {
-    ranks_[r].trace = std::move(rank_traces[static_cast<std::size_t>(r)]);
-    ranks_[r].core = &soc->core(static_cast<unsigned>(r));
+  for (std::size_t r = 0; r < n; ++r) {
+    RankState& st = ranks_[r];
+    st.node = static_cast<unsigned>(r) / ranks_per_node_;
+    st.local = static_cast<unsigned>(r) % ranks_per_node_;
+    st.core = &nodes_[st.node]->core(st.local);
+    st.trace = std::move(rank_traces[r]);
   }
   result_.rank_cycles.assign(n, 0);
 }
 
+MpiSimulation::MpiSimulation(Soc* soc,
+                             std::vector<TraceSourcePtr> rank_traces,
+                             const MpiParams& params)
+    : MpiSimulation(std::vector<Soc*>{soc}, std::move(rank_traces),
+                    params) {}
+
+Cycle MpiSimulation::copy(int rank, Addr from, Addr to, std::uint64_t bytes,
+                          Cycle start) {
+  const RankState& st = ranks_[rank];
+  return nodes_[st.node]->mem().bulkCopy(st.local, from, to, bytes, start);
+}
+
 Addr MpiSimulation::shmBuffer(int src, int dst) const {
-  const int n = static_cast<int>(ranks_.size());
-  return kShmBase + static_cast<Addr>(src * n + dst) * kShmStride;
+  const unsigned slot =
+      ranks_[src].local * ranks_per_node_ + ranks_[dst].local;
+  return kShmBase + static_cast<Addr>(slot) * kShmStride;
 }
 
 Addr MpiSimulation::rankBuffer(int rank) const {
-  return kRankBufBase + static_cast<Addr>(rank) * kRankBufStride;
+  return kRankBufBase + static_cast<Addr>(ranks_[rank].local) * kRankBufStride;
 }
 
 void MpiSimulation::unblock(int rank, Cycle resume) {
@@ -133,12 +165,13 @@ void MpiSimulation::handleMpiOp(int rank, const MicroOp& op) {
       s.src = rank;
       s.tag = op.mpi.tag;
       s.bytes = op.mpi.bytes;
-      s.eager = op.mpi.bytes <= params_.eager_limit;
+      // Eager only within a node: copy into the shared buffer now and
+      // return to the app.
+      s.eager = op.mpi.bytes <= params_.eager_limit &&
+                ranks_[dst].node == st.node;
       if (s.eager) {
-        // Eager: copy into the shared buffer now and return to the app.
-        s.data_ready = soc_->mem().bulkCopy(
-            static_cast<unsigned>(rank), rankBuffer(rank),
-            shmBuffer(rank, dst), op.mpi.bytes, st.arrive + alpha_);
+        s.data_ready = copy(rank, rankBuffer(rank), shmBuffer(rank, dst),
+                            op.mpi.bytes, st.arrive + alpha_);
         unblock(rank, s.data_ready);
       } else {
         s.data_ready = st.arrive;  // rendezvous: waits for the receiver
@@ -165,7 +198,6 @@ void MpiSimulation::handleMpiOp(int rank, const MicroOp& op) {
     case MpiKind::kReduce:
     case MpiKind::kAllreduce:
     case MpiKind::kAlltoall:
-      ++st.coll_seq;
       tryCollective(op.mpi.kind);
       break;
     case MpiKind::kNone:
@@ -194,31 +226,21 @@ void MpiSimulation::trySendRecvMatch(int dst) {
 void MpiSimulation::completeTransfer(int src, int dst,
                                      const PostedSend& send,
                                      Cycle recv_arrive) {
-  ++result_.messages;
-  result_.bytes_moved += send.bytes;
-
-  if (send.eager) {
-    // Sender already resumed at copy-in completion; the receiver drains the
-    // shared buffer once both the data and the receiver are ready.
-    const Cycle start = std::max(send.data_ready, recv_arrive + alpha_);
-    const Cycle done = soc_->mem().bulkCopy(
-        static_cast<unsigned>(dst), shmBuffer(src, dst), rankBuffer(dst),
-        send.bytes, start);
-    unblock(dst, done);
+  if (!send.eager) {
+    // Rendezvous: both sides handshake, then the payload moves.
+    const auto [src_done, dst_done] =
+        transferCost(src, dst, send.bytes, send.data_ready, recv_arrive);
+    unblock(src, src_done);
+    unblock(dst, dst_done);
     return;
   }
-
-  // Rendezvous: both sides handshake, sender streams in, receiver streams
-  // out (pipelining between the two copies is folded into bulkCopy cost).
-  const Cycle start = std::max(send.data_ready, recv_arrive) + alpha_;
-  const Cycle in_done = soc_->mem().bulkCopy(
-      static_cast<unsigned>(src), rankBuffer(src), shmBuffer(src, dst),
-      send.bytes, start);
-  const Cycle out_done = soc_->mem().bulkCopy(
-      static_cast<unsigned>(dst), shmBuffer(src, dst), rankBuffer(dst),
-      send.bytes, in_done);
-  unblock(src, in_done);
-  unblock(dst, out_done);
+  // Eager: the sender already resumed at copy-in completion; the receiver
+  // drains the shared buffer once both the data and the receiver are ready.
+  ++result_.messages;
+  result_.bytes_moved += send.bytes;
+  const Cycle start = std::max(send.data_ready, recv_arrive + alpha_);
+  unblock(dst, copy(dst, shmBuffer(src, dst), rankBuffer(dst), send.bytes,
+                    start));
 }
 
 std::pair<Cycle, Cycle> MpiSimulation::transferCost(int src, int dst,
@@ -227,21 +249,41 @@ std::pair<Cycle, Cycle> MpiSimulation::transferCost(int src, int dst,
                                                     Cycle t_dst) {
   ++result_.messages;
   result_.bytes_moved += bytes;
-  const Cycle start = std::max(t_src, t_dst) + alpha_;
-  const Cycle in_done = soc_->mem().bulkCopy(
-      static_cast<unsigned>(src), rankBuffer(src), shmBuffer(src, dst),
-      bytes, start);
-  const Cycle out_done = soc_->mem().bulkCopy(
-      static_cast<unsigned>(dst), shmBuffer(src, dst), rankBuffer(dst),
-      bytes, in_done);
-  return {in_done, out_done};
+  const RankState& s = ranks_[src];
+  const RankState& d = ranks_[dst];
+  if (s.node == d.node) {
+    // The sender streams in, the receiver streams out (pipelining between
+    // the two copies is folded into bulkCopy cost).
+    const Cycle start = std::max(t_src, t_dst) + alpha_;
+    const Cycle in_done =
+        copy(src, rankBuffer(src), shmBuffer(src, dst), bytes, start);
+    const Cycle out_done =
+        copy(dst, shmBuffer(src, dst), rankBuffer(dst), bytes, in_done);
+    return {in_done, out_done};
+  }
+
+  // Between nodes: the sender drains its buffer to the NIC, the wire
+  // serializes at link bandwidth, the flight adds latency, the receiver's
+  // NIC and memory system land the payload.
+  ++result_.inter_messages;
+  result_.inter_bytes += bytes;
+  const Cycle wire = std::max<Cycle>(
+      1, static_cast<Cycle>(static_cast<double>(bytes) * cycles_per_byte_));
+  const Cycle nic_in =
+      copy(src, rankBuffer(src), shmBuffer(src, src), bytes, t_src + alpha_);
+  const Cycle tx_start = nic_tx_[s.node].reserve(nic_in, wire);
+  const Cycle rx_done =
+      nic_rx_[d.node].reserve(tx_start + wire + net_latency_, wire) + wire;
+  const Cycle out_done = copy(dst, shmBuffer(dst, dst), rankBuffer(dst),
+                              bytes, std::max(rx_done, t_dst + alpha_));
+  // The sender completes once the NIC has taken the data (buffered send).
+  return {tx_start + wire, out_done};
 }
 
 void MpiSimulation::tryCollective(MpiKind kind) {
   // All ranks must reach their next collective before it resolves.
-  std::vector<int> participants;
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    const RankState& st = ranks_[r];
+  std::size_t arrived = 0;
+  for (const RankState& st : ranks_) {
     if (st.done) {
       throw std::runtime_error(
           "collective posted after some rank already finished");
@@ -250,16 +292,16 @@ void MpiSimulation::tryCollective(MpiKind kind) {
         st.pending.mpi.kind != MpiKind::kSend &&
         st.pending.mpi.kind != MpiKind::kRecv &&
         st.pending.mpi.kind != MpiKind::kWaitall) {
-      participants.push_back(static_cast<int>(r));
+      ++arrived;
     }
   }
-  if (participants.size() != ranks_.size()) return;
-  for (const int r : participants) {
-    if (ranks_[r].pending.mpi.kind != kind) {
+  if (arrived != ranks_.size()) return;
+  for (const RankState& st : ranks_) {
+    if (st.pending.mpi.kind != kind) {
       throw std::runtime_error("mismatched collective kinds across ranks");
     }
   }
-  resolveCollective(kind, participants);
+  resolveCollective(kind);
 }
 
 MpiRunResult runMpiProgram(Soc* soc, int nranks, const RankProgram& program,
@@ -268,6 +310,24 @@ MpiRunResult runMpiProgram(Soc* soc, int nranks, const RankProgram& program,
   traces.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) traces.push_back(program(r, nranks));
   MpiSimulation sim(soc, std::move(traces), params);
+  return sim.run();
+}
+
+MpiRunResult runClusterProgram(const SocConfig& node_config,
+                               const ClusterConfig& cluster,
+                               const RankProgram& program) {
+  std::vector<std::unique_ptr<Soc>> socs;
+  std::vector<Soc*> nodes;
+  for (unsigned n = 0; n < cluster.nodes; ++n) {
+    socs.push_back(std::make_unique<Soc>(node_config));
+    nodes.push_back(socs.back().get());
+  }
+  const int nranks = static_cast<int>(cluster.nodes * cluster.ranks_per_node);
+  std::vector<TraceSourcePtr> traces;
+  traces.reserve(static_cast<std::size_t>(nranks));
+  for (int r = 0; r < nranks; ++r) traces.push_back(program(r, nranks));
+  MpiSimulation sim(std::move(nodes), std::move(traces), cluster.mpi,
+                    cluster.network);
   return sim.run();
 }
 
