@@ -34,8 +34,7 @@ void BM_TagePredict(benchmark::State& state) {
 BENCHMARK(BM_TagePredict);
 
 void BM_CacheAccess(benchmark::State& state) {
-  SetAssocCache cache({static_cast<unsigned>(state.range(0)), 8,
-                       ReplacementPolicy::kLru});
+  SetAssocCache cache({static_cast<unsigned>(state.range(0)), 8});
   Xorshift64Star rng(2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(

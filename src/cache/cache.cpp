@@ -4,11 +4,8 @@
 
 namespace bridge {
 
-SetAssocCache::SetAssocCache(const CacheGeometry& geom,
-                             std::uint64_t replacement_seed)
-    : geom_(geom),
-      lines_(std::size_t{geom.sets} * geom.ways),
-      rng_(replacement_seed) {
+SetAssocCache::SetAssocCache(const CacheGeometry& geom)
+    : geom_(geom), lines_(std::size_t{geom.sets} * geom.ways) {
   assert(geom.sets != 0 && (geom.sets & (geom.sets - 1)) == 0);
   assert(geom.ways != 0);
   set_mask_ = geom.sets - 1;
@@ -41,9 +38,6 @@ const SetAssocCache::Line* SetAssocCache::find(Addr line_addr) const {
 SetAssocCache::Line& SetAssocCache::pickVictim(std::size_t base) {
   for (unsigned w = 0; w < geom_.ways; ++w) {
     if (!lines_[base + w].valid) return lines_[base + w];
-  }
-  if (geom_.repl == ReplacementPolicy::kRandom) {
-    return lines_[base + rng_.nextBelow(geom_.ways)];
   }
   Line* victim = &lines_[base];
   for (unsigned w = 1; w < geom_.ways; ++w) {

@@ -1,4 +1,4 @@
-// Set-associative cache tag array with LRU or random replacement.
+// Set-associative cache tag array with LRU replacement.
 //
 // This models *state* (which lines are resident, dirty, and when their data
 // actually arrives); timing is layered on top by MemoryHierarchy. Each line
@@ -11,17 +11,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/rng.h"
 #include "sim/types.h"
 
 namespace bridge {
 
-enum class ReplacementPolicy : std::uint8_t { kLru, kRandom };
-
 struct CacheGeometry {
   unsigned sets = 64;
   unsigned ways = 8;
-  ReplacementPolicy repl = ReplacementPolicy::kLru;
 
   std::uint64_t sizeBytes() const {
     return std::uint64_t{sets} * ways * kLineBytes;
@@ -38,8 +34,7 @@ struct CacheAccess {
 
 class SetAssocCache {
  public:
-  explicit SetAssocCache(const CacheGeometry& geom,
-                         std::uint64_t replacement_seed = 1);
+  explicit SetAssocCache(const CacheGeometry& geom);
 
   /// Non-allocating lookup; does not touch replacement state.
   bool probe(Addr line_addr) const;
@@ -104,7 +99,6 @@ class SetAssocCache {
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  Xorshift64Star rng_;
 };
 
 }  // namespace bridge

@@ -9,9 +9,7 @@ MemoryHierarchy::MemoryHierarchy(unsigned num_cores,
                                  const MemSysParams& params,
                                  StatRegistry* stats)
     : params_(params),
-      l2_(CacheGeometry{params.l2.sets, params.l2.ways,
-                        ReplacementPolicy::kLru},
-          /*replacement_seed=*/11),
+      l2_(CacheGeometry{params.l2.sets, params.l2.ways}),
       l2_banks_(std::max(1u, params.l2.banks)),
       l2_mshr_(params.l2.mshrs),
       bus_(params.bus),
@@ -24,13 +22,9 @@ MemoryHierarchy::MemoryHierarchy(unsigned num_cores,
   for (unsigned c = 0; c < num_cores; ++c) {
     CorePrivate priv;
     priv.l1i = std::make_unique<SetAssocCache>(
-        CacheGeometry{params.l1i.sets, params.l1i.ways,
-                      ReplacementPolicy::kLru},
-        /*replacement_seed=*/100 + c);
+        CacheGeometry{params.l1i.sets, params.l1i.ways});
     priv.l1d = std::make_unique<SetAssocCache>(
-        CacheGeometry{params.l1d.sets, params.l1d.ways,
-                      ReplacementPolicy::kLru},
-        /*replacement_seed=*/200 + c);
+        CacheGeometry{params.l1d.sets, params.l1d.ways});
     priv.mshr = std::make_unique<MshrFile>(params.l1d.mshrs);
     priv.prefetcher = std::make_unique<StridePrefetcher>(params.prefetch);
     if (params.tlb.enabled) {
@@ -41,7 +35,7 @@ MemoryHierarchy::MemoryHierarchy(unsigned num_cores,
 
   for (unsigned ch = 0; ch < params.dram_channels; ++ch) {
     if (params.has_llc) {
-      llc_.push_back(std::make_unique<LlcSlice>(params.llc, 300 + ch));
+      llc_.push_back(std::make_unique<LlcSlice>(params.llc));
     }
     dram_.push_back(
         std::make_unique<DramController>(params.dram, params.freq_ghz));

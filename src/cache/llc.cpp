@@ -4,10 +4,9 @@
 
 namespace bridge {
 
-LlcSlice::LlcSlice(const LlcParams& params, std::uint64_t seed)
+LlcSlice::LlcSlice(const LlcParams& params)
     : params_(params),
-      tags_(CacheGeometry{params.sets, params.ways, ReplacementPolicy::kLru},
-            seed),
+      tags_(CacheGeometry{params.sets, params.ways}),
       banks_(std::max(1u, params.banks)) {}
 
 LlcSlice::Result LlcSlice::warmAccess(Addr line_addr, bool is_store) {

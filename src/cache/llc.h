@@ -35,7 +35,7 @@ struct LlcParams {
 /// One LLC slice (the paper attaches one slice per DRAM channel).
 class LlcSlice {
  public:
-  explicit LlcSlice(const LlcParams& params, std::uint64_t seed = 7);
+  explicit LlcSlice(const LlcParams& params);
 
   struct Result {
     bool hit = false;

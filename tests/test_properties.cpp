@@ -22,14 +22,18 @@ namespace {
 struct CacheGeomCase {
   unsigned sets;
   unsigned ways;
-  ReplacementPolicy repl;
 };
+
+// Printed as "<sets>x<ways>"; ctest names the instances by it.
+void PrintTo(const CacheGeomCase& c, std::ostream* os) {
+  *os << c.sets << 'x' << c.ways;
+}
 
 class CacheProperty : public ::testing::TestWithParam<CacheGeomCase> {};
 
 TEST_P(CacheProperty, OccupancyNeverExceedsCapacityAndRefsAreStable) {
   const CacheGeomCase geom = GetParam();
-  SetAssocCache c({geom.sets, geom.ways, geom.repl}, 42);
+  SetAssocCache c({geom.sets, geom.ways});
   Xorshift64Star rng(geom.sets * 131 + geom.ways);
 
   std::set<Addr> resident;
@@ -57,7 +61,7 @@ TEST_P(CacheProperty, OccupancyNeverExceedsCapacityAndRefsAreStable) {
 
 TEST_P(CacheProperty, HitPlusMissEqualsAccesses) {
   const CacheGeomCase geom = GetParam();
-  SetAssocCache c({geom.sets, geom.ways, geom.repl}, 7);
+  SetAssocCache c({geom.sets, geom.ways});
   Xorshift64Star rng(99);
   const int n = 5000;
   for (int i = 0; i < n; ++i) {
@@ -68,13 +72,9 @@ TEST_P(CacheProperty, HitPlusMissEqualsAccesses) {
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheProperty,
-    ::testing::Values(CacheGeomCase{1, 1, ReplacementPolicy::kLru},
-                      CacheGeomCase{1, 8, ReplacementPolicy::kLru},
-                      CacheGeomCase{16, 2, ReplacementPolicy::kLru},
-                      CacheGeomCase{64, 8, ReplacementPolicy::kLru},
-                      CacheGeomCase{64, 8, ReplacementPolicy::kRandom},
-                      CacheGeomCase{256, 4, ReplacementPolicy::kRandom},
-                      CacheGeomCase{1024, 16, ReplacementPolicy::kLru}));
+    ::testing::Values(CacheGeomCase{1, 1}, CacheGeomCase{1, 8},
+                      CacheGeomCase{16, 2}, CacheGeomCase{64, 8},
+                      CacheGeomCase{256, 4}, CacheGeomCase{1024, 16}));
 
 // ---------------------------------------------------------------------
 // DRAM: completion monotonicity and bandwidth ceiling across presets.
