@@ -43,6 +43,16 @@ std::optional<std::int64_t> Config::getInt(std::string_view key) const {
   return v;
 }
 
+std::optional<std::uint64_t> Config::getUint(std::string_view key) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return std::nullopt;
+  const std::string& s = it->second;
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
 std::optional<double> Config::getDouble(std::string_view key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;

@@ -24,6 +24,7 @@ class Config {
 
   std::optional<std::string> getString(std::string_view key) const;
   std::optional<std::int64_t> getInt(std::string_view key) const;
+  std::optional<std::uint64_t> getUint(std::string_view key) const;
   std::optional<double> getDouble(std::string_view key) const;
   std::optional<bool> getBool(std::string_view key) const;
 

@@ -175,20 +175,11 @@ bool hasHwVarOverrides(const Config& overrides) {
   return found;
 }
 
-bool applyHwVarOverrideKey(HwVarParams* p, const std::string& key,
-                           const Config& overrides) {
-  if (key == "hwvar.enabled") {
-    p->enabled = overrides.getBool(key, p->enabled);
-    return true;
-  }
+std::uint64_t* hwVarOverrideSlot(HwVarParams* p, std::string_view key) {
   for (const HwVarKnob& k : knobs()) {
-    if (key == k.override_key) {
-      p->*k.slot = static_cast<std::uint64_t>(overrides.getInt(
-          key, static_cast<std::int64_t>(p->*k.slot)));
-      return true;
-    }
+    if (key == k.override_key) return &(p->*k.slot);
   }
-  return false;
+  return nullptr;
 }
 
 std::uint64_t hwvarRoll(const HwVarParams& p, HwVarStream stream,

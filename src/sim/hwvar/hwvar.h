@@ -120,11 +120,11 @@ void applyHwVarOverrides(Config* overrides, const HwVarParams& p);
 /// rewrite it.
 bool hasHwVarOverrides(const Config& overrides);
 
-/// Apply one dotted override key to `p` if it is a `hwvar.*` knob; returns
-/// false for keys this module does not own (applySocOverrides owns the
+/// The field of `p` behind one dotted `hwvar.*` u64 override key, or
+/// nullptr for keys this module's knob table does not hold
+/// (applySocOverrides parses the values, sets `hwvar.enabled` and owns the
 /// unknown-key error).
-bool applyHwVarOverrideKey(HwVarParams* p, const std::string& key,
-                           const Config& overrides);
+std::uint64_t* hwVarOverrideSlot(HwVarParams* p, std::string_view key);
 
 /// Independent hash streams for the per-interval decisions.
 enum class HwVarStream : std::uint64_t {

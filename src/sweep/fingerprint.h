@@ -21,7 +21,7 @@ namespace bridge {
 /// Version tag folded into every fingerprint. Bump on any change that can
 /// move a simulated cycle count (core/cache/DRAM/bus/MPI models, workload
 /// trace generation, platform presets).
-inline constexpr std::string_view kSimulatorVersion = "bridge-sim-1";
+inline constexpr std::string_view kSimulatorVersion = "bridge-sim-2";
 
 /// 64-bit FNV-1a.
 std::uint64_t fnv1a64(std::string_view data);

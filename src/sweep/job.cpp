@@ -1,8 +1,12 @@
 #include "sweep/job.h"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "workloads/microbench.h"
 
@@ -132,64 +136,65 @@ unsigned socConfigKnobValue(const SocConfig& cfg, std::string_view key) {
 }
 
 void applySocOverrides(SocConfig* cfg, const Config& overrides) {
-  // An unknown key throws: a typo must not silently leave the base config
-  // (and its fingerprint) intact.
+  // An unknown key, or a value that does not parse as its knob's type,
+  // throws: a typo must not silently leave the base config (and its
+  // fingerprint) intact.
   const std::vector<SocKnob> unsigned_knobs = socConfigKnobs(*cfg);
+  const std::pair<std::string_view, bool*> flags[] = {
+      {"prefetch.enabled", &cfg->mem.prefetch.enabled},
+      {"sampling.enabled", &cfg->sampling.enabled},
+      {"hwvar.enabled", &cfg->hwvar.enabled},
+  };
+  const std::pair<std::string_view, std::uint64_t*> u64_knobs[] = {
+      {"sampling.interval_ops", &cfg->sampling.interval_ops},
+      {"sampling.measure_ops", &cfg->sampling.measure_ops},
+      {"sampling.warmup_ops", &cfg->sampling.warmup_ops},
+      {"sampling.seed", &cfg->sampling.seed},
+  };
 
-  // Config has no key iteration, so serialize and re-parse the dotted
-  // pairs; the text format is the canonical representation anyway.
-  Config pending = overrides;
-  std::istringstream lines(overrides.toText());
-  std::string line;
-  while (std::getline(lines, line)) {
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    std::string key = line.substr(0, eq);
-    while (!key.empty() && key.back() == ' ') key.pop_back();
-
-    bool known = false;
+  overrides.forEach([&](const std::string& key, const std::string& value) {
+    const auto malformed = [&] {
+      return std::invalid_argument("malformed SocConfig override value: " +
+                                   key + " = '" + value + "'");
+    };
+    const auto u64 = [&] {
+      const std::optional<std::uint64_t> v = overrides.getUint(key);
+      if (!v) throw malformed();
+      return *v;
+    };
     for (const SocKnob& k : unsigned_knobs) {
       if (key == k.key) {
-        *k.slot = static_cast<unsigned>(
-            overrides.getInt(key, static_cast<std::int64_t>(*k.slot)));
-        known = true;
-        break;
+        const std::uint64_t v = u64();
+        if (v > std::numeric_limits<unsigned>::max()) throw malformed();
+        *k.slot = static_cast<unsigned>(v);
+        return;
       }
     }
-    if (key == "freq_ghz") {
-      cfg->freq_ghz = overrides.getDouble(key, cfg->freq_ghz);
-      cfg->mem.freq_ghz = cfg->freq_ghz;
-      known = true;
-    } else if (key == "prefetch.enabled") {
-      cfg->mem.prefetch.enabled =
-          overrides.getBool(key, cfg->mem.prefetch.enabled);
-      known = true;
-    } else if (key == "sampling.enabled") {
-      cfg->sampling.enabled = overrides.getBool(key, cfg->sampling.enabled);
-      known = true;
-    } else if (key == "sampling.interval_ops") {
-      cfg->sampling.interval_ops = static_cast<std::uint64_t>(overrides.getInt(
-          key, static_cast<std::int64_t>(cfg->sampling.interval_ops)));
-      known = true;
-    } else if (key == "sampling.measure_ops") {
-      cfg->sampling.measure_ops = static_cast<std::uint64_t>(overrides.getInt(
-          key, static_cast<std::int64_t>(cfg->sampling.measure_ops)));
-      known = true;
-    } else if (key == "sampling.warmup_ops") {
-      cfg->sampling.warmup_ops = static_cast<std::uint64_t>(overrides.getInt(
-          key, static_cast<std::int64_t>(cfg->sampling.warmup_ops)));
-      known = true;
-    } else if (key == "sampling.seed") {
-      cfg->sampling.seed = static_cast<std::uint64_t>(overrides.getInt(
-          key, static_cast<std::int64_t>(cfg->sampling.seed)));
-      known = true;
-    } else if (applyHwVarOverrideKey(&cfg->hwvar, key, overrides)) {
-      known = true;
+    for (const auto& [name, slot] : flags) {
+      if (key == name) {
+        const std::optional<bool> v = overrides.getBool(key);
+        if (!v) throw malformed();
+        *slot = *v;
+        return;
+      }
     }
-    if (!known) {
+    for (const auto& [name, slot] : u64_knobs) {
+      if (key == name) {
+        *slot = u64();
+        return;
+      }
+    }
+    if (std::uint64_t* slot = hwVarOverrideSlot(&cfg->hwvar, key)) {
+      *slot = u64();
+    } else if (key == "freq_ghz") {
+      const std::optional<double> v = overrides.getDouble(key);
+      if (!v || !std::isfinite(*v) || *v <= 0) throw malformed();
+      cfg->freq_ghz = *v;
+      cfg->mem.freq_ghz = *v;
+    } else {
       throw std::invalid_argument("unknown SocConfig override key: " + key);
     }
-  }
+  });
 
   std::string why;
   if (!cfg->sampling.validate(&why)) {

@@ -68,9 +68,10 @@ JobSpec lammpsJob(PlatformId platform, LammpsBenchmark bench, int ranks,
                   const LammpsConfig& cfg = {});
 
 /// Apply "key = value" SocConfig overrides (e.g. "l2.banks", "ooo.rob",
-/// "bus.width_bits"). Throws std::invalid_argument on an unknown key so a
-/// typo cannot silently leave the base config — and the cache fingerprint —
-/// unchanged.
+/// "bus.width_bits"). Throws std::invalid_argument on an unknown key, or on
+/// a value that does not parse as its knob's type (unsigned, u64, bool, or
+/// a finite positive freq_ghz), so a typo cannot silently leave the base
+/// config — and the cache fingerprint — unchanged.
 void applySocOverrides(SocConfig* cfg, const Config& overrides);
 
 /// One dotted-path unsigned knob of a SocConfig (the override keys above).

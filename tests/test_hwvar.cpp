@@ -529,6 +529,25 @@ TEST(HwVarFingerprintTest, VariabilityNeverSharesAFingerprintWithFullRuns) {
   EXPECT_NE(jobFingerprint(other_seed), jobFingerprint(other_core));
 }
 
+TEST(HwVarFingerprintTest, ReplicaSeedsSurviveTheOverrideRoundTrip) {
+  // Half of all splitmix64 replica seeds are >= 2^63: each must resolve to
+  // itself, not collapse onto a default, and give its own cache entry.
+  const JobSpec full = microbenchJob(PlatformId::kRocket1, "MM", 0.25);
+  std::vector<std::string> fingerprints;
+  for (std::uint64_t r = 0; r < 16; ++r) {
+    HwVarParams p = sweepVarParams();
+    p.seed = hwvarReplicaSeed(1, r);
+    JobSpec replica = full;
+    applyHwVarOverrides(&replica.overrides, p);
+    EXPECT_EQ(resolveSocConfig(replica).hwvar.seed, p.seed) << "replica " << r;
+    fingerprints.push_back(jobFingerprint(replica));
+  }
+  std::sort(fingerprints.begin(), fingerprints.end());
+  EXPECT_EQ(std::unique(fingerprints.begin(), fingerprints.end()) -
+                fingerprints.begin(),
+            16);
+}
+
 TEST(HwVarFingerprintTest, DeterministicFingerprintsAreLegacyIdentical) {
   // hwvar is folded into describeSocConfig() only when enabled, so the
   // deterministic machine's canonical description — and with it every

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -157,16 +158,32 @@ TEST_F(SweepEngineTest, DefaultPolicyIsolatesAFailingJob) {
 
 TEST_F(SweepEngineTest, UnknownOverrideKeyFailsWithoutRetry) {
   // A spec that cannot be fingerprinted is a configuration error: no
-  // retries (attempts stays 0), no quarantine entry, outcome kFailed.
-  SweepEngine engine(options_);
-  JobSpec job = microbenchJob(PlatformId::kRocket1, "MM", 0.05);
-  job.overrides.set("l2.bankz", "4");
-  const SweepResult r = engine.runOne(job);
-  EXPECT_EQ(r.outcome, JobOutcome::kFailed);
-  EXPECT_EQ(r.attempts, 0u);
-  EXPECT_TRUE(r.fingerprint.empty());
-  EXPECT_NE(r.error.find("l2.bankz"), std::string::npos);
-  EXPECT_EQ(engine.quarantine().size(), 0u);
+  // retries (attempts stays 0), no quarantine entry, outcome kFailed. So is
+  // a known key whose value does not parse as its knob's type: keeping the
+  // base value would hand back the base result under the override's label.
+  const std::pair<std::string, std::string> bad[] = {
+      {"l2.bankz", "4"},
+      {"l1d.sets", "abc"},
+      {"l1d.sets", "-1"},
+      {"l1d.sets", "4294967296"},
+      {"hwvar.seed", "18446744073709551616"},
+      {"sampling.seed", "1.5"},
+      {"prefetch.enabled", "maybe"},
+      {"freq_ghz", "0"},
+      {"freq_ghz", "nan"},
+  };
+  for (const auto& [key, value] : bad) {
+    SCOPED_TRACE(key + " = " + value);
+    SweepEngine engine(options_);
+    JobSpec job = microbenchJob(PlatformId::kRocket1, "MM", 0.05);
+    job.overrides.set(key, value);
+    const SweepResult r = engine.runOne(job);
+    EXPECT_EQ(r.outcome, JobOutcome::kFailed);
+    EXPECT_EQ(r.attempts, 0u);
+    EXPECT_TRUE(r.fingerprint.empty());
+    EXPECT_NE(r.error.find(key), std::string::npos);
+    EXPECT_EQ(engine.quarantine().size(), 0u);
+  }
 }
 
 // Log-capture plumbing for the degraded-cache test (LogSink is a plain
