@@ -175,7 +175,7 @@ bool hasHwVarOverrides(const Config& overrides) {
   return found;
 }
 
-std::uint64_t* hwVarOverrideSlot(HwVarParams* p, std::string_view key) {
+std::uint64_t* hwvarOverrideSlot(HwVarParams* p, std::string_view key) {
   for (const HwVarKnob& k : knobs()) {
     if (key == k.override_key) return &(p->*k.slot);
   }

@@ -124,7 +124,7 @@ bool hasHwVarOverrides(const Config& overrides);
 /// nullptr for keys this module's knob table does not hold
 /// (applySocOverrides parses the values, sets `hwvar.enabled` and owns the
 /// unknown-key error).
-std::uint64_t* hwVarOverrideSlot(HwVarParams* p, std::string_view key);
+std::uint64_t* hwvarOverrideSlot(HwVarParams* p, std::string_view key);
 
 /// Independent hash streams for the per-interval decisions.
 enum class HwVarStream : std::uint64_t {

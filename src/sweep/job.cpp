@@ -184,7 +184,7 @@ void applySocOverrides(SocConfig* cfg, const Config& overrides) {
         return;
       }
     }
-    if (std::uint64_t* slot = hwVarOverrideSlot(&cfg->hwvar, key)) {
+    if (std::uint64_t* slot = hwvarOverrideSlot(&cfg->hwvar, key)) {
       *slot = u64();
     } else if (key == "freq_ghz") {
       const std::optional<double> v = overrides.getDouble(key);

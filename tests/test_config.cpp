@@ -11,7 +11,9 @@ TEST(Config, SetAndGetTyped) {
   c.set("freq", "3.2");
   c.set("prefetch", "true");
   c.set("name", "rocket");
+  c.set("seed", "18446744073709551615");
   EXPECT_EQ(c.getInt("core.fetch_width"), 8);
+  EXPECT_EQ(c.getUint("seed"), 18446744073709551615ull);
   EXPECT_DOUBLE_EQ(*c.getDouble("freq"), 3.2);
   EXPECT_EQ(c.getBool("prefetch"), true);
   EXPECT_EQ(c.getString("name"), "rocket");
@@ -29,9 +31,15 @@ TEST(Config, MalformedValuesReturnNullopt) {
   Config c;
   c.set("k", "not_a_number");
   EXPECT_FALSE(c.getInt("k").has_value());
+  EXPECT_FALSE(c.getUint("k").has_value());
   EXPECT_FALSE(c.getDouble("k").has_value());
   EXPECT_FALSE(c.getBool("k").has_value());
   EXPECT_TRUE(c.getString("k").has_value());
+  // Unsigned: no sign, no overflow.
+  c.set("k", "-1");
+  EXPECT_FALSE(c.getUint("k").has_value());
+  c.set("k", "18446744073709551616");
+  EXPECT_FALSE(c.getUint("k").has_value());
 }
 
 TEST(Config, ParseHandlesCommentsAndWhitespace) {
