@@ -81,6 +81,10 @@ struct GoldenCase {
   Figure (*compute)();
 };
 
+// Printed as its snapshot filename, so ctest's name for each instance is the
+// same on every build instead of a dump of the two pointers.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.file; }
+
 const GoldenCase kGoldenCases[] = {
     {"fig1.json", [] { return computeFig1(kGoldenScale, goldenSweep()); }},
     {"fig2.json", [] { return computeFig2(kGoldenScale, goldenSweep()); }},

@@ -80,6 +80,14 @@ INSTANTIATE_TEST_SUITE_P(
 // DRAM: completion monotonicity and bandwidth ceiling across presets.
 // ---------------------------------------------------------------------
 
+}  // namespace
+
+// Printed as the preset's name; ctest names the instances by it. Outside the
+// anonymous namespace so argument-dependent lookup finds it for DramTimings.
+void PrintTo(const DramTimings& t, std::ostream* os) { *os << t.name; }
+
+namespace {
+
 class DramProperty
     : public ::testing::TestWithParam<DramTimings> {};
 
