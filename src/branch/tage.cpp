@@ -13,7 +13,8 @@ constexpr bool isPow2(unsigned v) { return v != 0 && (v & (v - 1)) == 0; }
 TagePredictor::TagePredictor(const TageConfig& cfg)
     : cfg_(cfg),
       base_(cfg.base_entries, 2u),
-      tables_(cfg.num_tables, std::vector<Entry>(cfg.table_entries)) {
+      tables_(cfg.num_tables, std::vector<Entry>(cfg.table_entries)),
+      updates_to_reset_(cfg.useful_reset_period) {
   assert(isPow2(cfg.base_entries));
   assert(isPow2(cfg.table_entries));
   assert(cfg.num_tables >= 1);
@@ -45,9 +46,9 @@ TagePredictor::TagePredictor(const TageConfig& cfg)
   fold_tag1_.resize(cfg.num_tables);
   fold_tag2_.resize(cfg.num_tables);
   for (unsigned t = 0; t < cfg.num_tables; ++t) {
-    fold_idx_[t] = {0, hist_len_[t], idx_bits};
-    fold_tag1_[t] = {0, hist_len_[t], cfg.tag_bits};
-    fold_tag2_[t] = {0, hist_len_[t], cfg.tag_bits - 1};
+    fold_idx_[t] = FoldedReg(hist_len_[t], idx_bits);
+    fold_tag1_[t] = FoldedReg(hist_len_[t], cfg.tag_bits);
+    fold_tag2_[t] = FoldedReg(hist_len_[t], cfg.tag_bits - 1);
   }
 }
 
@@ -216,7 +217,8 @@ void TagePredictor::update(Addr pc, bool taken) {
   }
 
   // Periodic gradual reset of useful counters (column-wise aging).
-  if (++update_count_ % cfg_.useful_reset_period == 0) {
+  if (--updates_to_reset_ == 0) {
+    updates_to_reset_ = cfg_.useful_reset_period;
     for (auto& table : tables_) {
       for (Entry& e : table) e.useful >>= 1;
     }

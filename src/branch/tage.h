@@ -60,18 +60,27 @@ class TagePredictor final : public DirectionPredictor {
   // the inserted bit into position 0, XOR the evicted bit (old position
   // bits-1) out of position bits mod chunk. foldedHistory() recomputes the
   // same value from scratch and is kept as the checked reference
-  // (tests/test_branch.cpp cross-validates on random branch streams) —
+  // (tests/test_tage.cpp cross-validates on random branch streams) —
   // the loop it runs per table per branch was the hottest part of the
-  // whole predictor (bench/sim_speed profile).
+  // whole predictor (bench/sim_speed profile). evict_pos and mask are
+  // fixed per register, so shift() does no divide.
   struct FoldedReg {
+    FoldedReg() = default;
+    FoldedReg(unsigned history_bits, unsigned fold_bits)
+        : bits(history_bits),
+          chunk(fold_bits),
+          evict_pos(history_bits % fold_bits),
+          mask((1ull << fold_bits) - 1) {}
     std::uint64_t val = 0;
-    unsigned bits = 0;   // history length folded in
-    unsigned chunk = 1;  // fold width
+    unsigned bits = 0;       // history length folded in
+    unsigned chunk = 1;      // fold width
+    unsigned evict_pos = 0;  // bits % chunk
+    std::uint64_t mask = 1;  // low `chunk` bits
     void shift(bool inserted, std::uint64_t prev_ghist) {
       const std::uint64_t evicted = (prev_ghist >> (bits - 1)) & 1u;
-      val = ((val << 1) | (val >> (chunk - 1))) & ((1ull << chunk) - 1);
+      val = ((val << 1) | (val >> (chunk - 1))) & mask;
       val ^= inserted ? 1u : 0u;
-      val ^= evicted << (bits % chunk);
+      val ^= evicted << evict_pos;
     }
   };
   void shiftHistory(bool taken);
@@ -108,7 +117,7 @@ class TagePredictor final : public DirectionPredictor {
   std::vector<FoldedReg> fold_tag1_;        // per-table tag fold, tag_bits
   std::vector<FoldedReg> fold_tag2_;        // per-table tag fold, tag_bits-1
   std::uint64_t ghist_ = 0;                 // global history, newest in bit 0
-  std::uint64_t update_count_ = 0;
+  unsigned updates_to_reset_;  // counts down to the next useful-bit aging
   unsigned last_provider_ = 0;
   // "use alt on newly allocated" counter from the TAGE paper, 4-bit signed.
   int use_alt_on_na_ = 0;

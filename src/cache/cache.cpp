@@ -1,11 +1,23 @@
 #include "cache/cache.h"
 
 #include <cassert>
+#include <new>
 
 namespace bridge {
 
+template <class T>
+SetAssocCache::ZeroedArray<T> SetAssocCache::zeroedArray(std::size_t n) {
+  T* p = static_cast<T*>(std::calloc(n, sizeof(T)));
+  if (p == nullptr) throw std::bad_alloc();
+  return ZeroedArray<T>(p);
+}
+
 SetAssocCache::SetAssocCache(const CacheGeometry& geom)
-    : geom_(geom), lines_(std::size_t{geom.sets} * geom.ways) {
+    : geom_(geom),
+      tags_(std::size_t{geom.sets} * geom.ways, kEmptyTag),
+      lru_(zeroedArray<std::uint64_t>(tags_.size())),
+      ready_(zeroedArray<Cycle>(tags_.size())),
+      dirty_(zeroedArray<std::uint8_t>(tags_.size())) {
   assert(geom.sets != 0 && (geom.sets & (geom.sets - 1)) == 0);
   assert(geom.ways != 0);
   set_mask_ = geom.sets - 1;
@@ -21,79 +33,72 @@ std::uint64_t SetAssocCache::tagOf(Addr line_addr) const {
   return (line_addr >> kLineShift) >> set_shift_;
 }
 
-SetAssocCache::Line* SetAssocCache::find(Addr line_addr) {
+std::size_t SetAssocCache::find(Addr line_addr) const {
   const std::size_t base = setBase(line_addr);
   const std::uint64_t tag = tagOf(line_addr);
+  const std::uint64_t* const set = tags_.data() + base;
   for (unsigned w = 0; w < geom_.ways; ++w) {
-    Line& l = lines_[base + w];
-    if (l.valid && l.tag == tag) return &l;
+    if (set[w] == tag) return base + w;
   }
-  return nullptr;
+  return kAbsent;
 }
 
-const SetAssocCache::Line* SetAssocCache::find(Addr line_addr) const {
-  return const_cast<SetAssocCache*>(this)->find(line_addr);
-}
-
-SetAssocCache::Line& SetAssocCache::pickVictim(std::size_t base) {
+std::size_t SetAssocCache::pickVictim(std::size_t base) const {
   for (unsigned w = 0; w < geom_.ways; ++w) {
-    if (!lines_[base + w].valid) return lines_[base + w];
+    if (tags_[base + w] == kEmptyTag) return base + w;
   }
-  Line* victim = &lines_[base];
+  std::size_t victim = base;
   for (unsigned w = 1; w < geom_.ways; ++w) {
-    if (lines_[base + w].lru < victim->lru) victim = &lines_[base + w];
+    if (lru_[base + w] < lru_[victim]) victim = base + w;
   }
-  return *victim;
+  return victim;
 }
 
 bool SetAssocCache::probe(Addr line_addr) const {
-  return find(lineAddr(line_addr)) != nullptr;
+  return find(lineAddr(line_addr)) != kAbsent;
 }
 
 Cycle SetAssocCache::touch(Addr line_addr, bool is_store) {
-  Line* l = find(lineAddr(line_addr));
-  assert(l != nullptr && "touch() on a non-resident line");
-  l->lru = ++tick_;
-  l->dirty = l->dirty || is_store;
-  ++hits_;
-  return l->ready;
+  Cycle ready = 0;
+  [[maybe_unused]] const bool hit = touchIfPresent(line_addr, is_store, &ready);
+  assert(hit && "touch() on a non-resident line");
+  return ready;
 }
 
 bool SetAssocCache::touchIfPresent(Addr line_addr, bool is_store,
                                    Cycle* ready) {
-  Line* l = find(lineAddr(line_addr));
-  if (l == nullptr) return false;
-  l->lru = ++tick_;
-  l->dirty = l->dirty || is_store;
+  const std::size_t i = find(lineAddr(line_addr));
+  if (i == kAbsent) return false;
+  lru_[i] = ++tick_;
+  dirty_[i] |= is_store;
   ++hits_;
-  *ready = l->ready;
+  *ready = ready_[i];
   return true;
 }
 
 CacheAccess SetAssocCache::fill(Addr line_addr, bool dirty, Cycle ready) {
   line_addr = lineAddr(line_addr);
   CacheAccess out;
-  if (Line* l = find(line_addr)) {
+  if (const std::size_t i = find(line_addr); i != kAbsent) {
     // Already present (e.g. a prefetch raced a demand fill): keep the
     // earlier ready time, just merge dirtiness.
-    l->dirty = l->dirty || dirty;
+    dirty_[i] |= dirty;
     out.hit = true;
-    out.ready_at = l->ready;
+    out.ready_at = ready_[i];
     return out;
   }
   ++misses_;
   const std::size_t base = setBase(line_addr);
-  Line& victim = pickVictim(base);
-  if (victim.valid && victim.dirty) {
+  const std::size_t v = pickVictim(base);
+  if (tags_[v] != kEmptyTag && dirty_[v]) {
     out.writeback = true;
     const std::uint64_t set_index = base / geom_.ways;
-    out.victim_line = ((victim.tag << set_shift_) | set_index) << kLineShift;
+    out.victim_line = ((tags_[v] << set_shift_) | set_index) << kLineShift;
   }
-  victim.valid = true;
-  victim.dirty = dirty;
-  victim.tag = tagOf(line_addr);
-  victim.lru = ++tick_;
-  victim.ready = ready;
+  tags_[v] = tagOf(line_addr);
+  dirty_[v] = dirty;
+  lru_[v] = ++tick_;
+  ready_[v] = ready;
   out.ready_at = ready;
   return out;
 }
@@ -109,13 +114,12 @@ CacheAccess SetAssocCache::access(Addr line_addr, bool is_store) {
 }
 
 bool SetAssocCache::invalidate(Addr line_addr) {
-  if (Line* l = find(lineAddr(line_addr))) {
-    const bool was_dirty = l->dirty;
-    l->valid = false;
-    l->dirty = false;
-    return was_dirty;
-  }
-  return false;
+  const std::size_t i = find(lineAddr(line_addr));
+  if (i == kAbsent) return false;
+  const bool was_dirty = dirty_[i];
+  tags_[i] = kEmptyTag;
+  dirty_[i] = false;
+  return was_dirty;
 }
 
 }  // namespace bridge

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "sim/types.h"
@@ -75,19 +77,25 @@ class SetAssocCache {
   }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;
-    Cycle ready = 0;
-    bool valid = false;
-    bool dirty = false;
+  /// Tag of an empty way: a real tag is at most 64 - kLineShift bits wide.
+  static constexpr std::uint64_t kEmptyTag = ~std::uint64_t{0};
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+  struct FreeDeleter {
+    void operator()(void* p) const { std::free(p); }
   };
+  /// A calloc'd array: the pages of a large one that no access reaches are
+  /// never faulted in.
+  template <class T>
+  using ZeroedArray = std::unique_ptr<T[], FreeDeleter>;
+  template <class T>
+  static ZeroedArray<T> zeroedArray(std::size_t n);
 
   std::size_t setBase(Addr line_addr) const;
   std::uint64_t tagOf(Addr line_addr) const;
-  Line* find(Addr line_addr);
-  const Line* find(Addr line_addr) const;
-  Line& pickVictim(std::size_t base);
+  /// Way index of a resident line, or kAbsent.
+  std::size_t find(Addr line_addr) const;
+  std::size_t pickVictim(std::size_t base) const;
 
   CacheGeometry geom_;
   // sets is asserted to be a power of two, so the set/tag split is a
@@ -95,7 +103,12 @@ class SetAssocCache {
   // the hottest path of the whole hierarchy (bench/sim_speed profile).
   unsigned set_shift_ = 0;
   std::uint64_t set_mask_ = 0;
-  std::vector<Line> lines_;
+  // Per-way state in parallel arrays, indexed set * ways + way, so a set
+  // scan reads only the tags: 8 bytes per way (128 B for a 16-way set).
+  std::vector<std::uint64_t> tags_;  // kEmptyTag marks an empty way
+  ZeroedArray<std::uint64_t> lru_;   // tick of the last touch or fill
+  ZeroedArray<Cycle> ready_;         // when the line's data arrives
+  ZeroedArray<std::uint8_t> dirty_;
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -102,7 +102,10 @@ void OooCore::setRegReady(Reg r, Cycle c) {
 Cycle OooCore::allocPort(std::vector<BusyCalendar>& ports, Cycle earliest) {
   // Issue on the port with the earliest free slot at or after `earliest`.
   // A port slot is one cycle; waiting ops sit in the issue queue and do
-  // not occupy the port.
+  // not occupy the port. reserve(peek(r)) places exactly where reserve(r)
+  // does, so a single port skips the peek; with several, the first port
+  // free at `earliest` ends the scan (ties go to the lowest index).
+  if (ports.size() == 1) return ports[0].reserve(earliest, 1);
   Cycle best = kCycleNever;
   std::size_t best_i = 0;
   for (std::size_t i = 0; i < ports.size(); ++i) {
@@ -110,6 +113,7 @@ Cycle OooCore::allocPort(std::vector<BusyCalendar>& ports, Cycle earliest) {
     if (candidate < best) {
       best = candidate;
       best_i = i;
+      if (best == earliest) break;
     }
   }
   return ports[best_i].reserve(best, 1);

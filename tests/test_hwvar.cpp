@@ -122,6 +122,27 @@ TEST(HwVarSpecTest, SpecStringRoundTrips) {
   EXPECT_EQ(back, off);
 }
 
+TEST(HwVarSpecTest, FullU64SeedsRoundTrip) {
+  // About half of all replica seeds have 19 or 20 digits; --hwvar must
+  // re-run each of them, and nothing past 2^64 - 1 may wrap around.
+  for (std::uint64_t r = 0; r < 16; ++r) {
+    HwVarParams p;
+    p.enabled = true;
+    p.seed = hwvarReplicaSeed(1, r);
+    HwVarParams back;
+    std::string error;
+    ASSERT_TRUE(parseHwVarSpec(p.specString(), &back, &error))
+        << "replica " << r << ": " << error;
+    EXPECT_EQ(back, p) << "replica " << r;
+  }
+  HwVarParams p;
+  ASSERT_TRUE(parseHwVarSpec("seed=18446744073709551615", &p, nullptr));
+  EXPECT_EQ(p.seed, ~std::uint64_t{0});
+  EXPECT_FALSE(parseHwVarSpec("seed=18446744073709551616", &p, nullptr));
+  EXPECT_FALSE(parseHwVarSpec("seed=+5", &p, nullptr));
+  EXPECT_FALSE(parseHwVarSpec("seed=-1", &p, nullptr));
+}
+
 TEST(HwVarSpecTest, ValidateCatchesNonsense) {
   HwVarParams p;
   p.enabled = true;
