@@ -5,7 +5,6 @@
 //   sweep_serve --drain [--socket PATH]     ask a running daemon to drain
 //   sweep_serve --stats [--socket PATH]     print a running daemon's counters
 //   sweep_serve --ping  [--socket PATH]     liveness probe
-//   sweep_serve --bench [--out FILE]        scripted benchmark -> BENCH_serve.json
 //
 // Default mode runs the daemon in the foreground on --socket (default:
 // $BRIDGE_SERVE_SOCKET or build/sweep-serve.sock) until SIGTERM/SIGINT or a
@@ -22,52 +21,28 @@
 // counters (workers, claimed, leases expired, orphans re-admitted) when the
 // daemon grants it, falling back to the v1 counter line against an older
 // daemon.
-//
-// --bench spins an in-process daemon on a scratch cache and measures the
-// serve path end to end: requests/sec with a cold vs warm cache, response
-// latency percentiles at 1/4/8 concurrent clients, the in-flight dedup
-// ratio when 4 clients race the same fresh grid, cold/warm throughput at
-// 0/1/2/4 attached workers, the orphan-recovery time when a worker dies
-// holding a lease, and the daemon-recovery numbers (journal replay count,
-// restart-to-first-result/convergence, duplicate executions — must be 0)
-// for a daemon restarted over a crash's write-ahead journal (DESIGN §5k).
-// Results land in BENCH_serve.json (override with --out) as a baseline for
-// later PRs.
-#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <filesystem>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/client.h"
 #include "serve/daemon.h"
-#include "serve/journal.h"
-#include "serve/worker.h"
-#include "sweep/fingerprint.h"
-#include "sweep/job.h"
 #include "sweep/sweep.h"
-#include "workloads/microbench.h"
 
 namespace {
 
 volatile std::sig_atomic_t g_signal = 0;
 void onSignal(int) { g_signal = 1; }
 
-using bridge::JobSpec;
 using bridge::RunReport;
 using bridge::SweepCli;
 using bridge::serve::DaemonOptions;
-using bridge::serve::LeaseGrant;
 using bridge::serve::ServeClient;
 using bridge::serve::ServeStats;
 using bridge::serve::SweepDaemon;
-using bridge::serve::SweepWorker;
-using bridge::serve::WorkerOptions;
 
 std::string elasticSummary(const ServeStats& stats) {
   return std::to_string(stats.workers) + " workers, " +
@@ -149,404 +124,13 @@ int pingDaemon(const std::string& socket) {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// --bench: scripted measurement -> BENCH_serve.json
-
-std::vector<JobSpec> benchGrid(std::uint64_t seed) {
-  // A small, cheap, representative grid: the first 8 evaluation kernels at
-  // quarter scale. Overlap across clients is total — every client asks for
-  // the same cells, which is exactly the daemon's reason to exist.
-  const std::vector<std::string> kernels = bridge::microbenchNames();
-  std::vector<JobSpec> jobs;
-  for (std::size_t i = 0; i < kernels.size() && i < 8; ++i) {
-    jobs.push_back(bridge::microbenchJob(bridge::PlatformId::kRocket1,
-                                         kernels[i], 0.25, seed));
-  }
-  return jobs;
-}
-
-double percentileMs(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = p * static_cast<double>(samples.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] + (samples[hi] - samples[lo]) * frac;
-}
-
-/// Each of `clients` threads opens its own connection and submits every job
-/// of `grid` as its own request, `repeats` times. Returns per-request
-/// latencies in milliseconds.
-std::vector<double> latencyPhase(const std::string& socket,
-                                 const std::vector<JobSpec>& grid,
-                                 unsigned clients, unsigned repeats) {
-  std::vector<double> latencies;
-  std::mutex mu;
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  for (unsigned c = 0; c < clients; ++c) {
-    threads.emplace_back([&] {
-      ServeClient client(socket);
-      std::vector<double> mine;
-      for (unsigned r = 0; r < repeats; ++r) {
-        for (const JobSpec& job : grid) {
-          const auto start = std::chrono::steady_clock::now();
-          client.run({job});
-          mine.push_back(std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count());
-        }
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      latencies.insert(latencies.end(), mine.begin(), mine.end());
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  return latencies;
-}
-
-int runBench(const SweepCli& cli, std::string socket, std::string out_path) {
-  if (socket.empty()) socket = "build/sweep-serve-bench.sock";
-  if (out_path.empty()) out_path = "BENCH_serve.json";
-  const std::string cache_dir = cli.options.cache_dir.empty()
-                                    ? "build/serve-bench-cache"
-                                    : cli.options.cache_dir;
-  std::error_code ec;
-  std::filesystem::remove_all(cache_dir, ec);  // the cold pass must be cold
-
-  DaemonOptions options;
-  options.socket_path = socket;
-  options.sweep = cli.options;
-  options.sweep.cache_dir = cache_dir;
-  options.sweep.use_cache = true;
-  options.sweep.serve_socket.clear();
-  SweepDaemon daemon(options);
-  std::string error;
-  if (!daemon.start(&error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 1;
-  }
-
-  const std::vector<JobSpec> grid = benchGrid(/*seed=*/1);
-  const auto requestsPerSec = [&](const std::vector<double>& lat_ms) {
-    double total_ms = 0.0;
-    for (const double ms : lat_ms) total_ms += ms;
-    return total_ms > 0.0 ? 1000.0 * static_cast<double>(lat_ms.size()) /
-                                total_ms
-                          : 0.0;
-  };
-
-  std::printf("sweep-serve bench: cold pass (%zu jobs)...\n", grid.size());
-  const std::vector<double> cold = latencyPhase(socket, grid, 1, 1);
-  std::printf("sweep-serve bench: warm pass...\n");
-  const std::vector<double> warm = latencyPhase(socket, grid, 1, 1);
-
-  struct LatencyRow {
-    unsigned clients;
-    double p50;
-    double p95;
-  };
-  std::vector<LatencyRow> rows;
-  for (const unsigned clients : {1u, 4u, 8u}) {
-    std::printf("sweep-serve bench: latency at %u client(s)...\n", clients);
-    const std::vector<double> lat = latencyPhase(socket, grid, clients, 3);
-    rows.push_back(
-        {clients, percentileMs(lat, 0.50), percentileMs(lat, 0.95)});
-  }
-
-  // Dedup phase: 4 clients race a grid of *fresh* fingerprints, so every
-  // job is either the one admitted execution or an attach to it.
-  std::printf("sweep-serve bench: dedup phase (4 clients, fresh grid)...\n");
-  const ServeStats before = daemon.stats();
-  {
-    const std::vector<JobSpec> fresh = benchGrid(/*seed=*/4242);
-    std::vector<std::thread> threads;
-    for (unsigned c = 0; c < 4; ++c) {
-      threads.emplace_back([&] {
-        ServeClient client(socket);
-        client.run(fresh);
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  const ServeStats after = daemon.stats();
-  const double dedup_jobs =
-      static_cast<double>(after.jobs - before.jobs);
-  const double dedup_ratio =
-      dedup_jobs > 0.0
-          ? static_cast<double>(after.attached - before.attached) / dedup_jobs
-          : 0.0;
-
-  // Worker-scaling phase: the same daemon, with 0/1/2/4 elastic workers
-  // attached in-process. Each round uses a fresh-seed grid so its cold pass
-  // is really cold; p50/p95 come from warm repeats.
-  struct ScalingRow {
-    unsigned workers;
-    double cold_rps;
-    double warm_rps;
-    double p50;
-    double p95;
-  };
-  const auto pollWorkers = [&](std::uint64_t want) {
-    for (int spins = 0; spins < 5000 && daemon.stats().workers != want;
-         ++spins) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
-  std::vector<ScalingRow> scaling;
-  std::uint64_t scale_seed = 7000;
-  for (const unsigned nworkers : {0u, 1u, 2u, 4u}) {
-    std::printf("sweep-serve bench: workers scaling at %u worker(s)...\n",
-                nworkers);
-    std::vector<std::unique_ptr<SweepWorker>> workers;
-    std::vector<std::thread> worker_threads;
-    for (unsigned w = 0; w < nworkers; ++w) {
-      WorkerOptions wopts;
-      wopts.socket_path = socket;
-      wopts.name = "bench-worker-" + std::to_string(w);
-      wopts.sweep = cli.options;
-      wopts.sweep.workers = 2;
-      workers.push_back(std::make_unique<SweepWorker>(wopts));
-      worker_threads.emplace_back(
-          [worker = workers.back().get()] { worker->run(); });
-    }
-    pollWorkers(nworkers);
-    const std::vector<JobSpec> fresh = benchGrid(scale_seed++);
-    const std::vector<double> scold = latencyPhase(socket, fresh, 1, 1);
-    const std::vector<double> swarm = latencyPhase(socket, fresh, 1, 1);
-    const std::vector<double> slat = latencyPhase(socket, fresh, 1, 3);
-    scaling.push_back({nworkers, requestsPerSec(scold), requestsPerSec(swarm),
-                       percentileMs(slat, 0.50), percentileMs(slat, 0.95)});
-    for (auto& worker : workers) worker->requestStop();
-    for (std::thread& t : worker_threads) t.join();
-    workers.clear();  // closes the worker connections -> deregistered
-    pollWorkers(0);
-  }
-
-  // Orphan-recovery phase: a worker dies (socket drop == what SIGKILL
-  // looks like from the daemon's side) while holding a lease; measure
-  // death -> every result delivered. A second daemon with a short lease
-  // window keeps queue aging from dominating the measurement.
-  std::printf("sweep-serve bench: orphan recovery (killed worker)...\n");
-  DaemonOptions orphan_options;
-  orphan_options.socket_path = socket + ".orphan";
-  orphan_options.sweep = cli.options;
-  orphan_options.sweep.cache_dir = cache_dir + "-orphan";
-  orphan_options.sweep.use_cache = true;
-  orphan_options.sweep.serve_socket.clear();
-  orphan_options.lease_ms = 150;
-  std::filesystem::remove_all(orphan_options.sweep.cache_dir, ec);
-  SweepDaemon orphan_daemon(orphan_options);
-  double orphan_recovery_ms = 0.0;
-  std::uint64_t orphans_readmitted = 0;
-  if (orphan_daemon.start(&error)) {
-    auto doomed = std::make_unique<ServeClient>(orphan_options.socket_path);
-    doomed->negotiate("worker", orphan_daemon.policySignature(), "doomed");
-    const std::vector<JobSpec> orphan_grid = benchGrid(/*seed=*/9001);
-    std::thread submitter([&] {
-      ServeClient client(orphan_options.socket_path);
-      client.run(orphan_grid);
-    });
-    // Claim one job, then die holding its lease.
-    std::vector<LeaseGrant> grants;
-    bool orphan_draining = false;
-    for (int spins = 0; spins < 5000 && grants.empty(); ++spins) {
-      grants = doomed->claim(1, &orphan_draining);
-      if (grants.empty()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    const auto killed_at = std::chrono::steady_clock::now();
-    doomed.reset();  // the daemon sees the drop and re-admits the orphan
-    submitter.join();
-    orphan_recovery_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - killed_at)
-                             .count();
-    orphan_daemon.requestStop();
-    orphan_daemon.join();
-    orphans_readmitted = orphan_daemon.stats().orphans_readmitted;
-  } else {
-    std::fprintf(stderr, "warning: orphan phase skipped: %s\n", error.c_str());
-  }
-
-  // Daemon-recovery phase (DESIGN §5k): fabricate the crash artifact — a
-  // write-ahead journal whose admits never completed, exactly what a
-  // SIGKILLed daemon leaves behind — and measure the restart: time to the
-  // first replayed result, time to full convergence, and the duplicate-
-  // execution count (the acceptance identity demands 0). A resubmitting
-  // client afterwards must be served entirely from the recovered cache.
-  std::printf("sweep-serve bench: daemon recovery (journal replay)...\n");
-  DaemonOptions rec_options;
-  rec_options.socket_path = socket + ".recover";
-  rec_options.sweep = cli.options;
-  rec_options.sweep.cache_dir = cache_dir + "-recover";
-  rec_options.sweep.use_cache = true;
-  rec_options.sweep.serve_socket.clear();
-  std::filesystem::remove_all(rec_options.sweep.cache_dir, ec);
-  const std::vector<JobSpec> rec_grid = benchGrid(/*seed=*/13013);
-  double restart_first_result_ms = 0.0;
-  double restart_converged_ms = 0.0;
-  std::uint64_t journal_replayed = 0;
-  std::uint64_t duplicate_executions = 0;
-  std::uint64_t resubmit_executed = 0;
-  {
-    bridge::serve::AdmissionJournal wal;
-    std::string wal_error;
-    if (wal.open(rec_options.sweep.cache_dir + "/journal", &wal_error)) {
-      for (const JobSpec& job : rec_grid) {
-        wal.admit(bridge::jobFingerprint(job), job);
-      }
-      wal.close();
-    } else {
-      std::fprintf(stderr, "warning: recovery journal not created: %s\n",
-                   wal_error.c_str());
-    }
-  }
-  SweepDaemon rec_daemon(rec_options);
-  const auto restarted_at = std::chrono::steady_clock::now();
-  if (rec_daemon.start(&error)) {
-    const auto elapsed_ms = [&] {
-      return std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - restarted_at)
-          .count();
-    };
-    const auto waitTotal = [&](std::uint64_t want) {
-      for (int spins = 0;
-           spins < 60000 && rec_daemon.stats().report.total < want; ++spins) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    };
-    waitTotal(1);
-    restart_first_result_ms = elapsed_ms();
-    waitTotal(rec_grid.size());
-    restart_converged_ms = elapsed_ms();
-    // A client resubmitting the interrupted sweep must find everything
-    // already done: zero fresh executions, pure cache service.
-    const ServeStats before_resubmit = rec_daemon.stats();
-    try {
-      ServeClient client(rec_options.socket_path);
-      client.run(rec_grid);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "warning: recovery resubmit failed: %s\n",
-                   e.what());
-    }
-    const ServeStats after_resubmit = rec_daemon.stats();
-    resubmit_executed = after_resubmit.executed - before_resubmit.executed;
-    rec_daemon.requestStop();
-    rec_daemon.join();
-    const ServeStats rec_stats = rec_daemon.stats();
-    journal_replayed = rec_stats.journal_replayed;
-    const std::uint64_t total_exec =
-        rec_stats.executed + rec_stats.completed_remote;
-    duplicate_executions =
-        total_exec > rec_grid.size() ? total_exec - rec_grid.size() : 0;
-  } else {
-    std::fprintf(stderr, "warning: recovery phase skipped: %s\n",
-                 error.c_str());
-  }
-
-  daemon.requestStop();
-  daemon.join();
-  const ServeStats stats = daemon.stats();
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"sweep_serve\",\n");
-  std::fprintf(f, "  \"grid_jobs\": %zu,\n", grid.size());
-  std::fprintf(f, "  \"workers\": %u,\n", daemon.engine().workers());
-  std::fprintf(f, "  \"cold_requests_per_sec\": %.2f,\n",
-               requestsPerSec(cold));
-  std::fprintf(f, "  \"warm_requests_per_sec\": %.2f,\n",
-               requestsPerSec(warm));
-  std::fprintf(f, "  \"dedup_ratio\": %.4f,\n", dedup_ratio);
-  std::fprintf(f, "  \"latency_ms\": {\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(f, "    \"clients_%u\": {\"p50\": %.3f, \"p95\": %.3f}%s\n",
-                 rows[i].clients, rows[i].p50, rows[i].p95,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"workers_scaling\": {\n");
-  for (const ScalingRow& row : scaling) {
-    std::fprintf(f,
-                 "    \"workers_%u\": {\"cold_requests_per_sec\": %.2f, "
-                 "\"warm_requests_per_sec\": %.2f, \"p50\": %.3f, "
-                 "\"p95\": %.3f},\n",
-                 row.workers, row.cold_rps, row.warm_rps, row.p50, row.p95);
-  }
-  std::fprintf(f, "    \"orphan_recovery_ms\": %.3f,\n", orphan_recovery_ms);
-  std::fprintf(f, "    \"orphans_readmitted\": %llu\n",
-               static_cast<unsigned long long>(orphans_readmitted));
-  std::fprintf(f, "  },\n");
-  std::fprintf(f,
-               "  \"daemon_recovery\": {\"journal_replayed\": %llu, "
-               "\"restart_to_first_result_ms\": %.3f, "
-               "\"restart_to_converged_ms\": %.3f, "
-               "\"duplicate_executions\": %llu, "
-               "\"resubmit_executed\": %llu},\n",
-               static_cast<unsigned long long>(journal_replayed),
-               restart_first_result_ms, restart_converged_ms,
-               static_cast<unsigned long long>(duplicate_executions),
-               static_cast<unsigned long long>(resubmit_executed));
-  std::fprintf(f,
-               "  \"daemon\": {\"connections\": %llu, \"requests\": %llu, "
-               "\"jobs\": %llu, \"admitted\": %llu, \"attached\": %llu, "
-               "\"executed\": %llu, \"cache_hits\": %llu, "
-               "\"completed_remote\": %llu, \"claimed\": %llu, "
-               "\"leases_expired\": %llu, \"orphans_readmitted\": %llu}\n",
-               static_cast<unsigned long long>(stats.connections),
-               static_cast<unsigned long long>(stats.requests),
-               static_cast<unsigned long long>(stats.jobs),
-               static_cast<unsigned long long>(stats.admitted),
-               static_cast<unsigned long long>(stats.attached),
-               static_cast<unsigned long long>(stats.executed),
-               static_cast<unsigned long long>(stats.cache_hits),
-               static_cast<unsigned long long>(stats.completed_remote),
-               static_cast<unsigned long long>(stats.claimed),
-               static_cast<unsigned long long>(stats.leases_expired),
-               static_cast<unsigned long long>(stats.orphans_readmitted));
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-
-  std::printf(
-      "sweep-serve bench: cold %.1f req/s, warm %.1f req/s, dedup %.2f "
-      "-> %s\n",
-      requestsPerSec(cold), requestsPerSec(warm), dedup_ratio,
-      out_path.c_str());
-  for (const ScalingRow& row : scaling) {
-    std::printf(
-        "sweep-serve bench: %u worker(s): cold %.1f req/s, warm %.1f req/s, "
-        "p50 %.2fms, p95 %.2fms\n",
-        row.workers, row.cold_rps, row.warm_rps, row.p50, row.p95);
-  }
-  std::printf("sweep-serve bench: orphan recovery %.1fms (%llu re-admitted)\n",
-              orphan_recovery_ms,
-              static_cast<unsigned long long>(orphans_readmitted));
-  std::printf(
-      "sweep-serve bench: daemon recovery: %llu replayed, first result "
-      "%.1fms, converged %.1fms, %llu duplicate executions\n",
-      static_cast<unsigned long long>(journal_replayed),
-      restart_first_result_ms, restart_converged_ms,
-      static_cast<unsigned long long>(duplicate_executions));
-  std::printf("sweep-serve bench: daemon %s\n", stats.summary().c_str());
-  std::printf("sweep-serve bench: elastic %s\n",
-              elasticSummary(stats).c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   SweepCli cli = SweepCli::parse(argc, argv);
 
   std::string socket;
-  std::string out_path;
-  bool drain = false, stats = false, ping = false, bench = false;
+  bool drain = false, stats = false, ping = false;
   const std::vector<std::string> rest = std::move(cli.rest);
   for (std::size_t i = 0; i < rest.size(); ++i) {
     const std::string& arg = rest[i];
@@ -565,25 +149,18 @@ int main(int argc, char** argv) {
       cli.options.cache_dir = value("--cache-dir");
     } else if (arg.rfind("--cache-dir=", 0) == 0) {
       cli.options.cache_dir = arg.substr(12);
-    } else if (arg == "--out") {
-      out_path = value("--out");
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
     } else if (arg == "--drain") {
       drain = true;
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--ping") {
       ping = true;
-    } else if (arg == "--bench") {
-      bench = true;
     } else if (arg == "--help") {
       std::printf(
           "usage: sweep_serve [--socket PATH] [--cache-dir DIR] [--jobs N]\n"
           "                   [--retries N] [--timeout S] [--strict] "
           "[--no-cache]\n"
-          "       sweep_serve --drain|--stats|--ping [--socket PATH]\n"
-          "       sweep_serve --bench [--out FILE]\n");
+          "       sweep_serve --drain|--stats|--ping [--socket PATH]\n");
       return 0;
     } else {
       std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
@@ -591,13 +168,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (socket.empty() && !bench) socket = SweepDaemon::defaultSocketPath();
+  if (socket.empty()) socket = SweepDaemon::defaultSocketPath();
 
   try {
     if (drain) return drainDaemon(socket);
     if (stats) return printStats(socket);
     if (ping) return pingDaemon(socket);
-    if (bench) return runBench(cli, socket, out_path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -62,8 +62,8 @@ class TagePredictor final : public DirectionPredictor {
   // same value from scratch and is kept as the checked reference
   // (tests/test_tage.cpp cross-validates on random branch streams) —
   // the loop it runs per table per branch was the hottest part of the
-  // whole predictor (bench/sim_speed profile). evict_pos and mask are
-  // fixed per register, so shift() does no divide.
+  // whole predictor (hostbench's `branch` layer times it). evict_pos and
+  // mask are fixed per register, so shift() does no divide.
   struct FoldedReg {
     FoldedReg() = default;
     FoldedReg(unsigned history_bits, unsigned fold_bits)

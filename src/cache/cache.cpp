@@ -58,13 +58,6 @@ bool SetAssocCache::probe(Addr line_addr) const {
   return find(lineAddr(line_addr)) != kAbsent;
 }
 
-Cycle SetAssocCache::touch(Addr line_addr, bool is_store) {
-  Cycle ready = 0;
-  [[maybe_unused]] const bool hit = touchIfPresent(line_addr, is_store, &ready);
-  assert(hit && "touch() on a non-resident line");
-  return ready;
-}
-
 bool SetAssocCache::touchIfPresent(Addr line_addr, bool is_store,
                                    Cycle* ready) {
   const std::size_t i = find(lineAddr(line_addr));

@@ -41,17 +41,11 @@ class SetAssocCache {
   /// Non-allocating lookup; does not touch replacement state.
   bool probe(Addr line_addr) const;
 
-  /// Hit path: the line must be present. Updates LRU and dirtiness and
-  /// returns the cycle at which the line's data is available.
-  Cycle touch(Addr line_addr, bool is_store);
-
-  /// Fused probe + touch: one set scan instead of two. If the line is
-  /// resident, updates LRU/dirtiness exactly like touch(), stores its
-  /// ready cycle in `*ready`, and returns true; otherwise leaves all state
-  /// (including `*ready`) untouched and returns false. Every demand lookup
-  /// in the hierarchy is a probe() immediately followed by touch() on hit
-  /// — the second identical scan is pure overhead (bench/sim_speed
-  /// profile), so the hot paths use this instead.
+  /// Hit path: if the line is resident, updates LRU and dirtiness, stores
+  /// the cycle at which its data is available in `*ready`, and returns
+  /// true; otherwise leaves all state (including `*ready`) untouched and
+  /// returns false. Every demand lookup in the hierarchy uses it, so a hit
+  /// scans its set once instead of once in probe() and again to update it.
   bool touchIfPresent(Addr line_addr, bool is_store, Cycle* ready);
 
   /// Install a line whose data arrives at `ready`. Returns writeback info
@@ -100,7 +94,8 @@ class SetAssocCache {
   CacheGeometry geom_;
   // sets is asserted to be a power of two, so the set/tag split is a
   // shift+mask — measurably cheaper than div/mod in the per-access lookup,
-  // the hottest path of the whole hierarchy (bench/sim_speed profile).
+  // the hottest path of the whole hierarchy (hostbench's `cache.array`
+  // layer).
   unsigned set_shift_ = 0;
   std::uint64_t set_mask_ = 0;
   // Per-way state in parallel arrays, indexed set * ways + way, so a set

@@ -50,7 +50,8 @@ class Tlb {
   // L1 kept as parallel arrays rather than an array of {page, lru} structs:
   // the fully-associative match scan and the LRU victim scan then run over
   // contiguous same-typed words and vectorize (the scans dominate
-  // translation cost on TLB-miss-heavy kernels — bench/sim_speed profile).
+  // translation cost on TLB-miss-heavy kernels; hostbench's `cache.tlb`
+  // layer times them).
   std::vector<std::uint64_t> l1_page_;  // fully associative, LRU
   std::vector<std::uint64_t> l1_lru_;
   std::vector<std::uint64_t> l2_;  // direct mapped, tag = page number

@@ -28,7 +28,8 @@ std::size_t BusyCalendar::findGap(Cycle ready, Cycle duration,
 Cycle BusyCalendar::peek(Cycle ready, Cycle duration) const {
   assert(duration > 0);
   // At-or-past-horizon requests never collide — the common case for a
-  // monotone access stream, and the hot one in bench/sim_speed profiles.
+  // monotone access stream; hostbench's `sim.calendar.scan_frac` is the
+  // share of calls that are not.
   if (ready >= horizon()) return ready;
   Cycle start = 0;
   findGap(ready, duration, &start);

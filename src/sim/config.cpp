@@ -74,27 +74,6 @@ std::optional<bool> Config::getBool(std::string_view key) const {
   return std::nullopt;
 }
 
-std::string Config::getString(std::string_view key,
-                              std::string_view dflt) const {
-  auto v = getString(key);
-  return v ? *v : std::string(dflt);
-}
-
-std::int64_t Config::getInt(std::string_view key, std::int64_t dflt) const {
-  auto v = getInt(key);
-  return v ? *v : dflt;
-}
-
-double Config::getDouble(std::string_view key, double dflt) const {
-  auto v = getDouble(key);
-  return v ? *v : dflt;
-}
-
-bool Config::getBool(std::string_view key, bool dflt) const {
-  auto v = getBool(key);
-  return v ? *v : dflt;
-}
-
 bool Config::parse(std::string_view text, std::string* error) {
   std::size_t line_no = 0;
   while (!text.empty()) {

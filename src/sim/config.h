@@ -28,12 +28,6 @@ class Config {
   std::optional<double> getDouble(std::string_view key) const;
   std::optional<bool> getBool(std::string_view key) const;
 
-  /// Typed accessors with defaults.
-  std::string getString(std::string_view key, std::string_view dflt) const;
-  std::int64_t getInt(std::string_view key, std::int64_t dflt) const;
-  double getDouble(std::string_view key, double dflt) const;
-  bool getBool(std::string_view key, bool dflt) const;
-
   std::size_t size() const { return values_.size(); }
 
   /// Visit every (key, value) pair in sorted key order.

@@ -35,9 +35,9 @@ struct SamplingParams {
   bool enabled = false;
   /// Interval length in micro-ops (per core). Each interval contributes one
   /// detailed window; everything else fast-forwards. The stock 20000/300/1000
-  /// split is the widest interval that keeps every bench/sim_speed kernel
-  /// inside its error bound (MicroBench 5%, NPB/LAMMPS 8%) while clearing
-  /// >=3x on the NPB class.
+  /// split is the widest interval that keeps every cell of the stock-params
+  /// gate in tests/test_sampling.cpp inside its error bound (MicroBench 5%,
+  /// NPB/LAMMPS 8%).
   std::uint64_t interval_ops = 20000;
   /// Unmeasured detailed ops at the start of the window (pipeline/queue
   /// refill after the fast-forward jump).

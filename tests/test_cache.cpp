@@ -190,7 +190,9 @@ TEST(SetAssocCache, StoreMarksDirtyOnHitToo) {
 TEST(SetAssocCache, FillCarriesReadyTime) {
   SetAssocCache c({64, 8});
   c.fill(0x1000, false, /*ready=*/500);
-  EXPECT_EQ(c.touch(0x1000, false), 500u);
+  Cycle ready = 0;
+  EXPECT_TRUE(c.touchIfPresent(0x1000, false, &ready));
+  EXPECT_EQ(ready, 500u);
 }
 
 TEST(SetAssocCache, RefillKeepsEarlierReady) {

@@ -904,7 +904,7 @@ TEST(DistributionObjectiveTest, CoordinateDescentCompletesAnEndToEndTune) {
   EXPECT_GE(result.best_error, 0.0);
   EXPECT_LE(result.best_error, opts.failure_penalty);
   // The winning candidate carries concrete overrides for the tuned knobs.
-  EXPECT_GT(result.best_overrides.getInt("l2.banks", 0), 0);
+  EXPECT_GT(result.best_overrides.getInt("l2.banks").value_or(0), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -275,8 +275,8 @@ class SlopeObjective : public MultiObjective {
  public:
   std::size_t arity() const override { return 2; }
   std::vector<double> scoreVector(const Config& overrides) override {
-    const double a = overrides.getDouble("rocket/l1d.mshrs", 0.0);
-    const double b = overrides.getDouble("boom/l2.mshrs", 0.0);
+    const double a = overrides.getDouble("rocket/l1d.mshrs").value_or(0.0);
+    const double b = overrides.getDouble("boom/l2.mshrs").value_or(0.0);
     return {a + b, 32.0 - a + (32.0 - b)};
   }
 };

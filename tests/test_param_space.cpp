@@ -63,8 +63,8 @@ TEST(ParamSpaceTest, OverridesAndPointKeyAreCanonical) {
   const ParamPoint p{2, 1};
   EXPECT_EQ(s.pointKey(p), "l2.banks=4,bus.width_bits=128");
   const Config cfg = s.overrides(p);
-  EXPECT_EQ(cfg.getInt("l2.banks", 0), 4);
-  EXPECT_EQ(cfg.getInt("bus.width_bits", 0), 128);
+  EXPECT_EQ(cfg.getInt("l2.banks").value_or(0), 4);
+  EXPECT_EQ(cfg.getInt("bus.width_bits").value_or(0), 128);
 
   // The overrides must be applicable to a SocConfig (keys are real knobs).
   SocConfig soc = makePlatform(PlatformId::kRocket1, 1);

@@ -27,8 +27,8 @@ class TwoBowlObjective : public MultiObjective {
 
   std::vector<double> scoreVector(const Config& overrides) override {
     ++calls_;
-    const double lat = overrides.getDouble("l2.latency", 0.0);
-    const double banks = overrides.getDouble("l2.banks", 0.0);
+    const double lat = overrides.getDouble("l2.latency").value_or(0.0);
+    const double banks = overrides.getDouble("l2.banks").value_or(0.0);
     const auto bowl = [&](double t_lat, double t_banks) {
       return (lat - t_lat) * (lat - t_lat) +
              (banks - t_banks) * (banks - t_banks);
@@ -297,7 +297,7 @@ TEST(WeightedSumObjectiveTest, ScalarizesForTheSingleObjectiveStrategies) {
   const TuneResult rm =
       CoordinateDescentTuner(space, &mix, opts).run({0, 0});
   const Config best = space.overrides(rm.best);
-  const double lat = best.getDouble("l2.latency", 0.0);
+  const double lat = best.getDouble("l2.latency").value_or(0.0);
   EXPECT_GT(lat, 2.0);
   EXPECT_LT(lat, 14.0);
 }

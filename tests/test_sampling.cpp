@@ -5,10 +5,10 @@
 // to full fidelity), fingerprint separation (a sampled job can never alias
 // a full-fidelity one in the cache or the serve dedup table), engine-level
 // rewrite semantics, bit-determinism across worker counts and repeated
-// runs, the accuracy bounds the bench trajectory documents, and the
-// remote-worker round trip (a sampled spec executes sampled on a worker
-// whose own sampling knobs are off — and a full spec executes full on a
-// worker whose environment says to sample).
+// runs, the accuracy bounds at small test parameters and at the stock
+// ones, and the remote-worker round trip (a sampled spec executes sampled
+// on a worker whose own sampling knobs are off — and a full spec executes
+// full on a worker whose environment says to sample).
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -553,6 +553,56 @@ TEST(SamplingAccuracyTest, NpbErrorStaysWithinEightPercent) {
     ASSERT_TRUE(sampled[i].ok());
     EXPECT_LE(
         relativeError(sampled[i].result.cycles, full[i].result.cycles), 0.08)
+        << "sampled=" << sampled[i].result.cycles
+        << " full=" << full[i].result.cycles;
+  }
+}
+
+TEST(SamplingAccuracyTest, StockParamsStayWithinClassBounds) {
+  // The gate on the stock SamplingParams: 13 cells at scale 0.5 and the
+  // default seed, each run at full fidelity and sampled, with a relative
+  // cycle-error bound per class (MicroBench 5%, NPB and LAMMPS 8%).
+  struct Cell {
+    JobSpec job;
+    double bound;
+  };
+  std::vector<Cell> cells;
+  for (const char* kernel : {"MM", "STL2", "ED1", "MIM", "DP1d", "ML2"}) {
+    cells.push_back({microbenchJob(PlatformId::kRocket1, kernel, 0.5), 0.05});
+  }
+  for (const NpbBenchmark bench : {NpbBenchmark::kCG, NpbBenchmark::kMG}) {
+    cells.push_back(
+        {npbJob(PlatformId::kBananaPiSim, bench, /*ranks=*/2, 0.5), 0.08});
+  }
+  for (const NpbBenchmark bench : {NpbBenchmark::kCG, NpbBenchmark::kMG,
+                                   NpbBenchmark::kEP, NpbBenchmark::kIS}) {
+    cells.push_back(
+        {npbJob(PlatformId::kMilkVSim, bench, /*ranks=*/2, 0.5), 0.08});
+  }
+  LammpsConfig lj;
+  lj.scale = 0.5;
+  cells.push_back({lammpsJob(PlatformId::kBananaPiSim,
+                             LammpsBenchmark::kLennardJones, /*ranks=*/2, lj),
+                   0.08});
+
+  std::vector<JobSpec> jobs;
+  for (const Cell& cell : cells) jobs.push_back(cell.job);
+  SweepOptions full_opts;
+  full_opts.use_cache = false;
+  SweepOptions sampled_opts = full_opts;
+  sampled_opts.sampling.enabled = true;
+  const auto full = SweepEngine(full_opts).run(jobs);
+  const auto sampled = SweepEngine(sampled_opts).run(jobs);
+  ASSERT_EQ(full.size(), cells.size());
+  ASSERT_EQ(sampled.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE(jobs[i].label);
+    ASSERT_TRUE(full[i].ok());
+    ASSERT_TRUE(sampled[i].ok());
+    EXPECT_EQ(sampled[i].result.retired, full[i].result.retired);
+    EXPECT_LE(
+        relativeError(sampled[i].result.cycles, full[i].result.cycles),
+        cells[i].bound)
         << "sampled=" << sampled[i].result.cycles
         << " full=" << full[i].result.cycles;
   }

@@ -26,7 +26,7 @@ class QuadraticObjective : public Objective {
     ++calls_;
     double err = 0.0;
     for (const auto& [key, target] : targets_) {
-      const double v = overrides.getDouble(key, 0.0);
+      const double v = overrides.getDouble(key).value_or(0.0);
       err += (v - target) * (v - target);
     }
     return err;
